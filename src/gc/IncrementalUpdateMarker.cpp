@@ -270,7 +270,9 @@ size_t IncrementalUpdateMarker::finishMarking(
     Active.store(false, std::memory_order_relaxed);
     return Pause;
   }
-  // Iterate to a clean card table with the world stopped.
+  // Iterate to a clean card table with the world stopped. Every dirty
+  // card lies below the heap's ref high-water mark.
+  const uint32_t CardsInUse = Cards.cardsBelow(H.refHighWater());
   bool Progress = true;
   while (Progress) {
     ++Stats.FinalPausePasses;
@@ -281,7 +283,7 @@ size_t IncrementalUpdateMarker::finishMarking(
       scanObject(R, Pause);
       Progress = true;
     }
-    for (uint32_t Card = 0, E = Cards.numCards(); Card != E; ++Card) {
+    for (uint32_t Card = 0; Card != CardsInUse; ++Card) {
       if (Cards.isDirty(Card)) {
         rescanCard(Card, Pause);
         Progress = true;

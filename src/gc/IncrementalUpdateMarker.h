@@ -58,15 +58,28 @@ public:
     return Card < Dirty.size() &&
            __atomic_load_n(&Dirty[Card], __ATOMIC_ACQUIRE);
   }
-  /// Cleans the card and \returns whether it was dirty. The acq_rel RMW
-  /// (a locked instruction on x86) keeps the subsequent slot reads from
-  /// starting before the clean is visible — the classic card-scan fence.
+  /// Cleans the card and \returns whether it was dirty. Test, then
+  /// clean: a plain load skips a clean card, so only a dirty one pays the
+  /// acq_rel RMW (a locked instruction on x86) that keeps the subsequent
+  /// slot reads from starting before the clean is visible — the classic
+  /// card-scan fence. A dirty() the load races past is ordered after it
+  /// and survives for the next pass, exactly as if it had landed after
+  /// the exchange.
   bool testAndClean(uint32_t Card) {
-    if (Card >= Dirty.size())
+    if (Card >= Dirty.size() ||
+        !__atomic_load_n(&Dirty[Card], __ATOMIC_RELAXED))
       return false;
     return __atomic_exchange_n(&Dirty[Card], uint8_t(0), __ATOMIC_ACQ_REL);
   }
   uint32_t numCards() const { return static_cast<uint32_t>(Dirty.size()); }
+  /// The cards covering ObjRefs below \p HighWater — every card a dirty()
+  /// can have touched when no object lies at or above it
+  /// (Heap::refHighWater). Pause-time card walks stop here.
+  uint32_t cardsBelow(ObjRef HighWater) const {
+    uint64_t Cards = (uint64_t(HighWater) + (uint64_t(1) << CardShift) - 1) >>
+                     CardShift;
+    return Cards < Dirty.size() ? static_cast<uint32_t>(Cards) : numCards();
+  }
   bool anyDirty() const {
     for (size_t I = 0, E = Dirty.size(); I != E; ++I)
       if (__atomic_load_n(&Dirty[I], __ATOMIC_RELAXED))

@@ -2,6 +2,8 @@
 
 #include "gc/MinorGC.h"
 
+#include <algorithm>
+
 using namespace satb;
 
 void MinorGC::promoteAll() {
@@ -14,7 +16,8 @@ void MinorGC::promoteAll() {
 }
 
 void MinorGC::clearRemSet() {
-  for (uint32_t Card = 0, E = RemSet.numCards(); Card != E; ++Card)
+  for (uint32_t Card = 0, E = RemSet.cardsBelow(H.refHighWater()); Card != E;
+       ++Card)
     RemSet.testAndClean(Card);
 }
 
@@ -34,10 +37,11 @@ void MinorGC::collect(const std::vector<ObjRef> &MutatorRoots) {
 
   // Precise collection. Young reachability is computed in a scratch
   // bitmap — MarkWords stays untouched so minor collections compose with
-  // (inactive) major cycles without clobbering their bookkeeping.
-  const ObjRef MaxRef = H.maxRef();
-  std::vector<uint64_t> YoungMark((static_cast<size_t>(MaxRef) >> 6) + 1, 0);
-  std::vector<ObjRef> Worklist;
+  // (inactive) major cycles without clobbering their bookkeeping. The
+  // bitmap and worklist keep their storage across collections.
+  const ObjRef HighWater = H.refHighWater();
+  YoungMark.assign((static_cast<size_t>(HighWater) + 63) / 64, 0);
+  Worklist.clear();
 
   auto PushIfYoungUnmarked = [&](ObjRef R) {
     if (R == NullRef || !H.isYoung(R))
@@ -67,14 +71,14 @@ void MinorGC::collect(const std::vector<ObjRef> &MutatorRoots) {
   // re-examined for young referents. Young objects sharing the card are
   // skipped — they are reached through roots or other young objects, or
   // they die.
-  for (uint32_t Card = 0, E = RemSet.numCards(); Card != E; ++Card) {
+  for (uint32_t Card = 0, E = RemSet.cardsBelow(HighWater); Card != E;
+       ++Card) {
     if (!RemSet.testAndClean(Card))
       continue;
     ++Stats.RemSetCardsScanned;
     ObjRef First = static_cast<ObjRef>(Card) << CardTable::CardShift;
-    ObjRef Last = First + (ObjRef(1) << CardTable::CardShift);
-    if (Last > MaxRef + 1)
-      Last = MaxRef + 1;
+    ObjRef Last = std::min<ObjRef>(First + (ObjRef(1) << CardTable::CardShift),
+                                   HighWater);
     for (ObjRef R = First; R < Last; ++R) {
       HeapObject *Obj = H.objectOrNull(R);
       if (!Obj || H.isYoung(R))

@@ -115,6 +115,10 @@ private:
   const IncrementalUpdateMarker *IncUpdate = nullptr;
   bool RemSetValid = false;
   MinorGCStats Stats;
+  /// collect()'s young-reachability bitmap and worklist, kept across
+  /// collections.
+  std::vector<uint64_t> YoungMark;
+  std::vector<ObjRef> Worklist;
 };
 
 /// Single-mutator wiring: route the heap's nursery-exhaustion hook to a

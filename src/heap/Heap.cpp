@@ -57,8 +57,9 @@ void Heap::enableNursery(const NurseryConfig &Cfg) {
 void Heap::disableNursery() {
   assert(NurseryBase && "nursery not enabled");
 #ifndef NDEBUG
-  for (uint64_t W : YoungWords)
-    assert(W == 0 && "disabling the nursery with young objects live");
+  for (size_t WI = 0, WE = highWaterWords(); WI != WE; ++WI)
+    assert(YoungWords[WI] == 0 &&
+           "disabling the nursery with young objects live");
 #endif
   NurseryBuf.reset();
   NurseryBase = NurseryCur = NurseryEnd = nullptr;
@@ -93,8 +94,9 @@ uint32_t Heap::promoteToOld(ObjRef R) {
 void Heap::resetNursery() {
   assert(NurseryBase && "resetting a disabled nursery");
 #ifndef NDEBUG
-  for (uint64_t W : YoungWords)
-    assert(W == 0 && "nursery reset with unprocessed young objects");
+  for (size_t WI = 0, WE = highWaterWords(); WI != WE; ++WI)
+    assert(YoungWords[WI] == 0 &&
+           "nursery reset with unprocessed young objects");
 #endif
   NurseryCur = NurseryBase;
   NurseryCarved.store(0, std::memory_order_relaxed);
@@ -365,9 +367,10 @@ void Heap::free(ObjRef R) {
 }
 
 void Heap::clearMarks() {
-  for (uint64_t &W : MarkWords)
-    W = 0;
-  for (size_t WI = 0, WE = LiveWords.size(); WI != WE; ++WI) {
+  // Nothing at or above the high-water mark was ever live or marked.
+  const size_t WE = highWaterWords();
+  std::fill_n(MarkWords.begin(), WE, uint64_t(0));
+  for (size_t WI = 0; WI != WE; ++WI) {
     uint64_t W = LiveWords[WI];
     while (W) {
       unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
@@ -379,7 +382,7 @@ void Heap::clearMarks() {
 
 size_t Heap::sweepUnmarked() {
   size_t Freed = 0;
-  for (size_t WI = 0, WE = LiveWords.size(); WI != WE; ++WI) {
+  for (size_t WI = 0, WE = highWaterWords(); WI != WE; ++WI) {
     uint64_t W = LiveWords[WI] & ~MarkWords[WI];
     while (W) {
       unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
@@ -395,15 +398,36 @@ size_t Heap::sweepUnmarked() {
   return Freed;
 }
 
-std::vector<bool> satb::computeReachable(const Heap &H,
-                                         const std::vector<ObjRef> &Roots) {
-  std::vector<bool> Reached(H.maxRef() + 1, false);
-  std::vector<ObjRef> Work;
+bool Heap::allLiveAndMarked(const std::vector<uint64_t> &Bits) const {
+  assert(Bits.size() <= LiveWords.size() && "bitmap wider than the heap");
+  for (size_t WI = 0, WE = Bits.size(); WI != WE; ++WI) {
+    uint64_t Live = __atomic_load_n(&LiveWords[WI], __ATOMIC_RELAXED);
+    uint64_t Mark = __atomic_load_n(&MarkWords[WI], __ATOMIC_RELAXED);
+    if (Bits[WI] & ~(Live & Mark))
+      return false;
+  }
+  return true;
+}
+
+uint64_t ReachabilityOracle::capture(const Heap &H,
+                                     const std::vector<ObjRef> &Roots) {
+  const ObjRef HighWater = H.refHighWater();
+  // assign() keeps the capacity of earlier captures: no allocation once
+  // the bitmap has reached the heap's size.
+  Words.assign((static_cast<size_t>(HighWater) + 63) / 64, 0);
+  Work.clear();
+  uint64_t Count = 0;
   auto Visit = [&](ObjRef R) {
-    if (R != NullRef && !Reached[R]) {
-      Reached[R] = true;
-      Work.push_back(R);
-    }
+    if (R == NullRef)
+      return;
+    assert(R < HighWater && "reference above the heap's high-water mark");
+    uint64_t &W = Words[R >> 6];
+    uint64_t Bit = uint64_t(1) << (R & 63);
+    if (W & Bit)
+      return;
+    W |= Bit;
+    ++Count;
+    Work.push_back(R);
   };
   for (ObjRef R : Roots)
     Visit(R);
@@ -412,9 +436,24 @@ std::vector<bool> satb::computeReachable(const Heap &H,
   while (!Work.empty()) {
     ObjRef R = Work.back();
     Work.pop_back();
-    const HeapObject &Obj = H.object(R);
-    for (ObjRef Child : Obj.refSlots())
+    for (ObjRef Child : H.object(R).refSlots())
       Visit(Child);
   }
-  return Reached;
+  return Count;
+}
+
+std::vector<bool> ReachabilityOracle::toBits(size_t NumRefs) const {
+  assert(Words.size() <= (NumRefs + 63) / 64 && "bit vector below the capture");
+  std::vector<bool> Bits(NumRefs, false);
+  for (size_t WI = 0, WE = Words.size(); WI != WE; ++WI)
+    for (uint64_t W = Words[WI]; W; W &= W - 1)
+      Bits[WI * 64 + static_cast<size_t>(__builtin_ctzll(W))] = true;
+  return Bits;
+}
+
+std::vector<bool> satb::computeReachable(const Heap &H,
+                                         const std::vector<ObjRef> &Roots) {
+  ReachabilityOracle Oracle;
+  Oracle.capture(H, Roots);
+  return Oracle.toBits(H.maxRef() + 1);
 }

@@ -321,9 +321,10 @@ public:
 
   /// Invokes \p Fn(R) for every young object, in ascending ObjRef order.
   /// Safe against promoteToOld/free of the visited object (each bitmap
-  /// word is copied before its bits are walked).
+  /// word is copied before its bits are walked). Walks only the words
+  /// below refHighWater(). Stop-the-world only.
   template <typename FnT> void forEachYoung(FnT Fn) const {
-    for (size_t WI = 0, WE = YoungWords.size(); WI != WE; ++WI) {
+    for (size_t WI = 0, WE = highWaterWords(); WI != WE; ++WI) {
       uint64_t W = __atomic_load_n(&YoungWords[WI], __ATOMIC_RELAXED);
       while (W) {
         unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
@@ -513,8 +514,20 @@ public:
 
   // --- GC support -----------------------------------------------------------
 
-  /// Highest ObjRef ever handed out (iteration bound for oracles).
+  /// Highest valid index into the object table (its capacity in
+  /// multi-mutator mode).
   ObjRef maxRef() const { return static_cast<ObjRef>(Table.size() - 1); }
+  /// One past the highest ObjRef ever handed out: every live object, and
+  /// so every live, mark and young bit and every dirty card, lies below
+  /// it. Pause-time walks stop here, which makes their cost follow the
+  /// heap in use rather than the table's capacity. In multi-mutator mode
+  /// that is RefCursor (TLAB ref blocks are carved below it; refs freed
+  /// there are never reused), otherwise the table size. RefCursor moves
+  /// under SlowLock while mutators run, so read this only with the world
+  /// stopped or no mutator thread live.
+  ObjRef refHighWater() const {
+    return MultiMutator ? RefCursor : static_cast<ObjRef>(Table.size());
+  }
   void free(ObjRef R);
   /// Zeroes the mark bitmap and resets every live object's tracing state.
   void clearMarks();
@@ -522,6 +535,10 @@ public:
   /// clears marks. \returns the number of objects freed. Call only with
   /// marking complete.
   size_t sweepUnmarked();
+  /// The oracle's end-of-cycle check, a word at a time: \returns true iff
+  /// every object whose bit is set in \p Bits (same indexing as the
+  /// live/mark bitmaps, at most refHighWater() bits) is live and marked.
+  bool allLiveAndMarked(const std::vector<uint64_t> &Bits) const;
 
   // Counter reads may race with TLAB installs (e.g. the coordinator's
   // warmup wait); relaxed atomics keep them exact without ordering cost.
@@ -557,6 +574,10 @@ private:
   /// Installs a header into the fixed-capacity table using the TLAB's
   /// private ref block (refilled under SlowLock from RefCursor).
   ObjRef tlabInstall(Tlab &T, HeapObject *Obj);
+  /// Bitmap words holding the bits below refHighWater().
+  size_t highWaterWords() const {
+    return (static_cast<size_t>(refHighWater()) + 63) / 64;
+  }
 
   const Program &P;
   /// Indexed directly by ObjRef; Table[0] is always null.
@@ -615,9 +636,34 @@ private:
   std::atomic<bool> MinorGCNeeded{false};
 };
 
+/// The reachability oracle every marking cycle is checked against. SATB:
+/// capture() at the start-of-marking pause, holds() at the termination
+/// pause — the whole snapshot must be marked. Incremental update: both at
+/// the final pause — everything reachable then must be marked. The
+/// reachable set is a word bitmap with the heap's live/mark indexing,
+/// sized to the heap's ref high-water mark, so the check runs a word at
+/// a time. The bitmap and the traversal stack are kept across captures:
+/// a pause allocates nothing once they have grown.
+class ReachabilityOracle {
+public:
+  /// Records everything reachable from \p Roots and the heap's static
+  /// refs, replacing any earlier capture. Stop-the-world only.
+  /// \returns the number of reachable objects.
+  uint64_t capture(const Heap &H, const std::vector<ObjRef> &Roots);
+  /// \returns true iff every captured object is live and marked in \p H.
+  bool holds(const Heap &H) const { return H.allLiveAndMarked(Words); }
+  /// The captured set as a bit per ObjRef, sized \p NumRefs (at least
+  /// the high-water mark at capture time).
+  std::vector<bool> toBits(size_t NumRefs) const;
+
+private:
+  std::vector<uint64_t> Words;
+  std::vector<ObjRef> Work;
+};
+
 /// Stop-the-world reachability (the snapshot oracle): a bit per ObjRef
 /// (index R, size maxRef()+1) reachable from \p Roots and the heap's
-/// static refs.
+/// static refs. One ReachabilityOracle capture, unpacked.
 std::vector<bool> computeReachable(const Heap &H,
                                    const std::vector<ObjRef> &Roots);
 

@@ -57,6 +57,7 @@ void FastInterp::start(MethodId Entry, const std::vector<int64_t> &IntArgs) {
   Status = RunStatus::Running;
   Trap = TrapKind::None;
   Result = Slot();
+  AtSafepoint = true;
 
   // The entry activation resolves through the table like any other (it
   // is dispatched exactly once, so it never accumulates enough
@@ -593,6 +594,7 @@ template <bool ProfilePairs>
 RunStatus FastInterp::stepImpl(uint64_t MaxSteps) {
   if (Status != RunStatus::Running)
     return Status;
+  AtSafepoint = false;
   uint64_t Fuel = MaxSteps;
   [[maybe_unused]] const FastInst *ProfPrev = nullptr;
   const FastInst *IP = Frames.back().IP;
@@ -1418,6 +1420,7 @@ DispatchTop:
     ++Fuel;
     if (SpReq && SpReq->load(std::memory_order_relaxed)) {
       ++IP;
+      AtSafepoint = true;
       goto ExitLoop;
     }
     NEXT();

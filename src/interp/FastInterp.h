@@ -65,6 +65,11 @@ public:
   TrapKind trap() const { return Trap; }
   Slot result() const { return Result; }
   uint64_t stepsExecuted() const { return Steps; }
+  /// True when the engine last stopped at a translated Safepoint poll, or
+  /// has not executed an instruction since start(); false when step()
+  /// ran out of fuel between polls. Only at such a point may the
+  /// multi-mutator driver park the engine for a pause (interp/Safepoint.h).
+  bool atSafepoint() const { return AtSafepoint; }
   uint64_t barrierCostInstrs() const { return BarrierCost; }
 
   void collectRoots(std::vector<ObjRef> &Out) const;
@@ -147,6 +152,7 @@ private:
   Slot Result;
   uint64_t Steps = 0;
   uint64_t BarrierCost = 0;
+  bool AtSafepoint = false; ///< see atSafepoint()
   static constexpr uint32_t MaxCallDepth = 1024;
   BarrierStats Stats;
   SiteStats *Sites = nullptr;  ///< Stats.flatData(), resolved once

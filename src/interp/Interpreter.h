@@ -207,9 +207,8 @@ runWithConcurrentSatb(Engine &I, SatbMarker &M, Heap &H, MethodId Entry,
   I.step(Cfg.WarmupSteps);
 
   std::vector<ObjRef> Roots = I.collectRoots();
-  std::vector<bool> Snapshot = computeReachable(H, Roots);
-  for (bool B : Snapshot)
-    R.OracleLive += B;
+  ReachabilityOracle Snapshot;
+  R.OracleLive = Snapshot.capture(H, Roots);
   M.beginMarking(Roots);
 
   uint64_t Remaining = Cfg.StepLimit;
@@ -224,10 +223,7 @@ runWithConcurrentSatb(Engine &I, SatbMarker &M, Heap &H, MethodId Entry,
   R.FinalPauseWork = M.finishMarking();
 
   // The SATB oracle: the snapshot is entirely marked.
-  R.OracleHolds = true;
-  for (ObjRef Ref = 1; Ref < Snapshot.size(); ++Ref)
-    if (Snapshot[Ref] && !(H.isLive(Ref) && H.isMarked(Ref)))
-      R.OracleHolds = false;
+  R.OracleHolds = Snapshot.holds(H);
   R.Marked = M.stats().MarkedObjects;
   R.Swept = M.sweep();
 
@@ -265,15 +261,9 @@ runWithConcurrentIncUpdate(Engine &I, IncrementalUpdateMarker &M, Heap &H,
 
   // The incremental-update oracle: everything reachable at the final pause
   // is marked.
-  std::vector<bool> LiveNow = computeReachable(H, FinalRoots);
-  R.OracleHolds = true;
-  for (ObjRef Ref = 1; Ref < LiveNow.size(); ++Ref) {
-    if (!LiveNow[Ref])
-      continue;
-    ++R.OracleLive;
-    if (!(H.isLive(Ref) && H.isMarked(Ref)))
-      R.OracleHolds = false;
-  }
+  ReachabilityOracle LiveNow;
+  R.OracleLive = LiveNow.capture(H, FinalRoots);
+  R.OracleHolds = LiveNow.holds(H);
   R.Marked = M.stats().MarkedObjects;
   R.Swept = M.sweep();
 

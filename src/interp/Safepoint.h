@@ -15,6 +15,16 @@
 /// happens-before anything the mutator does after release — which is why
 /// the marking flags themselves can be relaxed.
 ///
+/// Where a mutator may park: only at a translated poll, or between
+/// requests (before the first instruction after FastInterp::start). The
+/// driver steps an engine in fuel quanta that can end at any instruction,
+/// so it parks only when FastInterp::atSafepoint() says the last quantum
+/// stopped at a poll; otherwise it keeps stepping until the next poll.
+/// The compiler relies on this: the young-target proof elides the
+/// remembered-set barrier on a store into a freshly allocated object,
+/// and only polls, calls and further allocations end that freshness; a
+/// minor GC parked anywhere else could promote the object in between.
+///
 /// A generation counter distinguishes consecutive pauses so a mutator
 /// released from pause N cannot be confused into satisfying pause N+1's
 /// headcount without actually parking again.

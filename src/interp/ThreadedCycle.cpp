@@ -25,9 +25,8 @@ satb::runWithThreadedSatb(Interpreter &I, SatbMarker &M, Heap &H,
   I.step(Cfg.WarmupSteps);
 
   std::vector<ObjRef> Roots = I.collectRoots();
-  std::vector<bool> Snapshot = computeReachable(H, Roots);
-  for (bool B : Snapshot)
-    R.OracleLive += B;
+  ReachabilityOracle Snapshot;
+  R.OracleLive = Snapshot.capture(H, Roots);
   M.beginMarking(Roots);
 
   std::mutex HeapLock;
@@ -66,11 +65,7 @@ satb::runWithThreadedSatb(Interpreter &I, SatbMarker &M, Heap &H,
 
   // The final pause: the marker thread has exited, the mutator is parked.
   R.FinalPauseWork = M.finishMarking();
-
-  R.OracleHolds = true;
-  for (ObjRef Ref = 1; Ref < Snapshot.size(); ++Ref)
-    if (Snapshot[Ref] && !(H.isLive(Ref) && H.isMarked(Ref)))
-      R.OracleHolds = false;
+  R.OracleHolds = Snapshot.holds(H);
   R.Marked = M.stats().MarkedObjects;
   R.Swept = M.sweep();
 
@@ -169,6 +164,17 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     Engines.push_back(std::move(E));
   }
 
+  // Every engine's frames: the root set of each pause. Valid only while
+  // the engines are parked or exited (frames flushed).
+  std::vector<ObjRef> Roots, EngineRoots;
+  auto CollectRoots = [&] {
+    Roots.clear();
+    for (auto &E : Engines) {
+      E->collectRoots(EngineRoots);
+      Roots.insert(Roots.end(), EngineRoots.begin(), EngineRoots.end());
+    }
+  };
+
   // Stop-the-world minor collection service: a mutator whose nursery
   // chunk refill failed raised the heap's request flag (and fell back to
   // old-space allocation, so it never blocks). Roots are every engine's
@@ -187,11 +193,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     SC.stopTheWorld([&] {
       if (!H.minorGCRequested())
         return; // raced with a collection already served
-      std::vector<ObjRef> Roots, Tmp;
-      for (auto &E : Engines) {
-        E->collectRoots(Tmp);
-        Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
-      }
+      CollectRoots();
       Gen.collect(Roots);
       for (auto &E : Engines) {
         E->context().invalidateNurseryTlab();
@@ -218,7 +220,12 @@ MultiMutatorResult satb::runWithConcurrentMutators(
       uint64_t Remaining = Cfg.StepLimit;
       auto Drive = [&] {
         while (E.status() == RunStatus::Running && Remaining > 0) {
-          if (SC.requested()) {
+          // Park only where the engine stopped at a poll (or has not yet
+          // run): a quantum can end anywhere, e.g. between a New and a
+          // store whose barrier the compiler elided because the target is
+          // young, and a minor GC there would promote that target. A
+          // quantum end between polls just keeps stepping to the next one.
+          if (SC.requested() && E.atSafepoint()) {
             Stopwatch ParkTimer;
             SC.park();
             ParkShards[T].record(
@@ -256,6 +263,55 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     });
   }
 
+  // The two marking pauses, shared by the scripted and the pacer driver.
+  // Each runs the reachability oracle inside the pause: SATB captures the
+  // snapshot at the start and checks it at termination; incremental
+  // update captures and checks at termination. One bad cycle fails the
+  // run.
+  ReachabilityOracle Oracle;
+  R.OracleHolds = true;
+  auto BeginPause = [&] {
+    SC.stopTheWorld([&] {
+      CollectRoots();
+      if (UseSatb) {
+        R.OracleLive += Oracle.capture(H, Roots);
+        Satb.beginMarking(Roots);
+      } else {
+        Inc.beginMarking(Roots);
+      }
+    });
+  };
+  // Final STW: flush every context, terminate marking, check the oracle
+  // and sweep — all inside the pause.
+  auto FinishPause = [&] {
+    SC.stopTheWorld([&] {
+      for (auto &E : Engines)
+        E->context().flush();
+      if (UseSatb) {
+        R.FinalPauseWork += Satb.finishMarking();
+      } else {
+        CollectRoots();
+        R.FinalPauseWork += Inc.finishMarking(Roots);
+        R.OracleLive += Oracle.capture(H, Roots);
+      }
+      R.OracleHolds &= Oracle.holds(H);
+      R.Swept += UseSatb ? Satb.sweep() : Inc.sweep();
+      if (Cfg.DebugTraceCounts) {
+        R.TraceCounts.resize(H.maxRef() + 1, 0);
+        for (ObjRef Ref = 1; Ref <= H.maxRef(); ++Ref)
+          R.TraceCounts[Ref] =
+              UseSatb ? Satb.traceCount(Ref) : Inc.traceCount(Ref);
+        if (UseSatb)
+          R.SnapshotSet = Oracle.toBits(H.maxRef() + 1);
+      }
+    });
+    ++R.Cycles;
+  };
+  auto MarkStep = [&] {
+    return UseSatb ? Satb.markStep(Cfg.MarkerQuantum)
+                   : Inc.markStep(Cfg.MarkerQuantum);
+  };
+
   if (!UsePacer) {
     // --- Scripted driver: warmup, then exactly one marking cycle ----------
 
@@ -267,22 +323,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     }
 
     // STW #1: snapshot roots across every mutator and start the cycle.
-    std::vector<bool> Snapshot;
-    SC.stopTheWorld([&] {
-      std::vector<ObjRef> Roots, Tmp;
-      for (auto &E : Engines) {
-        E->collectRoots(Tmp);
-        Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
-      }
-      if (UseSatb) {
-        Snapshot = computeReachable(H, Roots);
-        for (bool B : Snapshot)
-          R.OracleLive += B;
-        Satb.beginMarking(Roots);
-      } else {
-        Inc.beginMarking(Roots);
-      }
-    });
+    BeginPause();
 
     // Concurrent marking on this (coordinator) thread while the mutators
     // run. A few consecutive idle rounds mean the marker is waiting on
@@ -290,58 +331,14 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     size_t IdleStreak = 0;
     while (IdleStreak < 3 && SC.exitedCount() < Mutators) {
       ServeMinorGC();
-      bool Idle = UseSatb ? Satb.markStep(Cfg.MarkerQuantum)
-                          : Inc.markStep(Cfg.MarkerQuantum);
-      if (Idle) {
+      if (MarkStep()) {
         ++IdleStreak;
         std::this_thread::yield();
       } else {
         IdleStreak = 0;
       }
     }
-
-    // Final STW: flush every context, terminate marking, check the oracle
-    // and sweep — all inside the pause.
-    SC.stopTheWorld([&] {
-      for (auto &E : Engines)
-        E->context().flush();
-      if (UseSatb) {
-        R.FinalPauseWork = Satb.finishMarking();
-        R.OracleHolds = true;
-        for (ObjRef Ref = 1; Ref < Snapshot.size(); ++Ref)
-          if (Snapshot[Ref] && !(H.isLive(Ref) && H.isMarked(Ref)))
-            R.OracleHolds = false;
-        R.Marked = Satb.stats().MarkedObjects;
-        R.Swept = Satb.sweep();
-      } else {
-        std::vector<ObjRef> Roots, Tmp;
-        for (auto &E : Engines) {
-          E->collectRoots(Tmp);
-          Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
-        }
-        R.FinalPauseWork = Inc.finishMarking(Roots);
-        std::vector<bool> LiveNow = computeReachable(H, Roots);
-        R.OracleHolds = true;
-        for (ObjRef Ref = 1; Ref < LiveNow.size(); ++Ref) {
-          if (!LiveNow[Ref])
-            continue;
-          ++R.OracleLive;
-          if (!(H.isLive(Ref) && H.isMarked(Ref)))
-            R.OracleHolds = false;
-        }
-        R.Marked = Inc.stats().MarkedObjects;
-        R.Swept = Inc.sweep();
-      }
-      if (Cfg.DebugTraceCounts) {
-        R.TraceCounts.resize(H.maxRef() + 1, 0);
-        for (ObjRef Ref = 1; Ref <= H.maxRef(); ++Ref)
-          R.TraceCounts[Ref] =
-              UseSatb ? Satb.traceCount(Ref) : Inc.traceCount(Ref);
-        if (UseSatb)
-          R.SnapshotSet = Snapshot;
-      }
-    });
-    R.Cycles = 1;
+    FinishPause();
 
     // Marking is over, but the mutators keep running to completion; keep
     // serving minor collections so the nursery stays usable for the tail.
@@ -354,73 +351,26 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     // --- Pacer-driven cycles: as many as allocation pressure asks for ----
     //
     // The coordinator polls the pacer between marking quanta: a trigger
-    // starts a cycle with the same snapshot handshake as the scripted
-    // driver; three idle marking rounds finish it with the same
-    // termination pause, including the per-cycle oracle (accumulated
-    // across cycles — one bad cycle fails the run). Mutators never wait
-    // on the pacer; they only stop at the handshakes themselves.
-    R.OracleHolds = true; // vacuously, when pressure never triggers
-    std::vector<bool> Snapshot;
+    // starts a cycle with the same begin pause as the scripted driver;
+    // three idle marking rounds finish it with the same termination
+    // pause. Mutators never wait on the pacer; they only stop at the
+    // handshakes themselves. OracleHolds stays vacuously true when
+    // pressure never triggers.
     size_t IdleStreak = 0;
-
     auto BeginCycle = [&] {
-      SC.stopTheWorld([&] {
-        std::vector<ObjRef> Roots, Tmp;
-        for (auto &E : Engines) {
-          E->collectRoots(Tmp);
-          Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
-        }
-        if (UseSatb) {
-          Snapshot = computeReachable(H, Roots);
-          for (bool B : Snapshot)
-            R.OracleLive += B;
-          Satb.beginMarking(Roots);
-        } else {
-          Inc.beginMarking(Roots);
-        }
-      });
+      BeginPause();
       Pace.noteCycleStart();
       IdleStreak = 0;
     };
-
     auto FinishCycle = [&] {
-      SC.stopTheWorld([&] {
-        for (auto &E : Engines)
-          E->context().flush();
-        if (UseSatb) {
-          R.FinalPauseWork += Satb.finishMarking();
-          for (ObjRef Ref = 1; Ref < Snapshot.size(); ++Ref)
-            if (Snapshot[Ref] && !(H.isLive(Ref) && H.isMarked(Ref)))
-              R.OracleHolds = false;
-          R.Swept += Satb.sweep();
-        } else {
-          std::vector<ObjRef> Roots, Tmp;
-          for (auto &E : Engines) {
-            E->collectRoots(Tmp);
-            Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
-          }
-          R.FinalPauseWork += Inc.finishMarking(Roots);
-          std::vector<bool> LiveNow = computeReachable(H, Roots);
-          for (ObjRef Ref = 1; Ref < LiveNow.size(); ++Ref) {
-            if (!LiveNow[Ref])
-              continue;
-            ++R.OracleLive;
-            if (!(H.isLive(Ref) && H.isMarked(Ref)))
-              R.OracleHolds = false;
-          }
-          R.Swept += Inc.sweep();
-        }
-      });
+      FinishPause();
       Pace.noteCycleEnd();
-      ++R.Cycles;
     };
 
     while (SC.exitedCount() < Mutators) {
       ServeMinorGC();
       if (Pace.inCycle()) {
-        bool Idle = UseSatb ? Satb.markStep(Cfg.MarkerQuantum)
-                            : Inc.markStep(Cfg.MarkerQuantum);
-        if (Idle) {
+        if (MarkStep()) {
           if (++IdleStreak >= 3)
             FinishCycle();
           else
@@ -447,14 +397,12 @@ MultiMutatorResult satb::runWithConcurrentMutators(
       FinishCycle();
     } else if (Pace.shouldStartCycle()) {
       BeginCycle();
-      while (!(UseSatb ? Satb.markStep(Cfg.MarkerQuantum)
-                       : Inc.markStep(Cfg.MarkerQuantum)))
+      while (!MarkStep())
         ;
       FinishCycle();
     }
-    R.Marked =
-        UseSatb ? Satb.stats().MarkedObjects : Inc.stats().MarkedObjects;
   }
+  R.Marked = UseSatb ? Satb.stats().MarkedObjects : Inc.stats().MarkedObjects;
 
   for (std::thread &T : Threads)
     T.join();
@@ -487,11 +435,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     // joined; the markers are idle, so survivors promote precisely when
     // the remembered set is valid) — no young object may outlive the
     // nursery buffer.
-    std::vector<ObjRef> Roots, Tmp;
-    for (auto &E : Engines) {
-      E->collectRoots(Tmp);
-      Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
-    }
+    CollectRoots();
     Gen.collect(Roots);
     H.disableNursery();
   }

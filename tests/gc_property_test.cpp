@@ -16,17 +16,24 @@
 #include "gc/MinorGC.h"
 #include "workloads/Workload.h"
 
+#include <type_traits>
+
 using namespace satb;
 using namespace satb::testutil;
 
 namespace {
 
+// gtest prints this parameter byte-by-byte into the test names, so the
+// struct must have no padding: padding bytes are copied from whatever was
+// on the stack and would make the names differ from one process to the next.
 struct Interleaving {
-  uint32_t Seed;
+  uint64_t Seed;
   uint64_t Warmup;
   uint64_t MutQ;
   size_t MarkQ;
 };
+static_assert(std::has_unique_object_representations_v<Interleaving>,
+              "Interleaving must have no padding bytes");
 
 class SatbOracleProperty : public ::testing::TestWithParam<Interleaving> {};
 
@@ -36,7 +43,7 @@ std::vector<Interleaving> interleavings() {
   const uint64_t Warmups[] = {0, 500, 5000};
   const std::pair<uint64_t, size_t> Quanta[] = {
       {1, 1}, {256, 2}, {16, 64}, {64, 16}};
-  uint32_t Seed = 100;
+  uint64_t Seed = 100;
   for (uint64_t W : Warmups)
     for (auto [MQ, KQ] : Quanta)
       Out.push_back(Interleaving{Seed++, W, MQ, KQ});

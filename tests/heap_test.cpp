@@ -2,12 +2,20 @@
 
 #include "heap/Heap.h"
 
+#include "RandomProgram.h"
+
 #include "gc/MinorGC.h"
 #include "gc/SatbMarker.h"
+#include "interp/Interpreter.h"
+#include "jit/Compiler.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 using namespace satb;
+using namespace satb::testutil;
 
 namespace {
 
@@ -25,6 +33,40 @@ struct HeapFixture : ::testing::Test {
     SInt = P.addStaticField("si", JType::Int);
   }
 };
+
+/// The oracle's original bit-per-ObjRef traversal, kept here as the
+/// independent reference the word-bitmap oracle is checked against.
+std::vector<bool> perBitReachable(const Heap &H,
+                                  const std::vector<ObjRef> &Roots) {
+  std::vector<bool> Reached(H.maxRef() + 1, false);
+  std::vector<ObjRef> Work;
+  auto Visit = [&](ObjRef R) {
+    if (R != NullRef && !Reached[R]) {
+      Reached[R] = true;
+      Work.push_back(R);
+    }
+  };
+  for (ObjRef R : Roots)
+    Visit(R);
+  for (ObjRef R : H.staticRefs())
+    Visit(R);
+  while (!Work.empty()) {
+    ObjRef R = Work.back();
+    Work.pop_back();
+    for (ObjRef Child : H.object(R).refSlots())
+      Visit(Child);
+  }
+  return Reached;
+}
+
+/// Every young ObjRef, found by probing each entry of the whole table.
+std::vector<ObjRef> youngByFullWalk(const Heap &H) {
+  std::vector<ObjRef> Out;
+  for (ObjRef R = 1; R <= H.maxRef(); ++R)
+    if (H.isYoung(R))
+      Out.push_back(R);
+  return Out;
+}
 
 } // namespace
 
@@ -357,4 +399,251 @@ TEST_F(HeapFixture, DisableNurseryRestoresOldSpaceAllocation) {
   EXPECT_FALSE(H.nurseryEnabled());
   ObjRef B = H.allocateObject(C);
   EXPECT_FALSE(H.isYoung(B));
+}
+
+// --- Reachability oracle -----------------------------------------------------
+
+TEST(ReachabilityOracle, AgreesWithPerBitTraversalOnRandomHeaps) {
+  // One oracle object is reused across every capture, as the runtime
+  // drivers reuse theirs across pauses: a stale bit from an earlier,
+  // larger capture would show up as a disagreement.
+  ReachabilityOracle Oracle;
+  uint64_t Total = 0;
+  for (uint32_t Seed = 500; Seed != 508; ++Seed) {
+    GeneratedProgram G = RandomProgramGenerator(Seed).generate();
+    CompiledProgram CP = compileProgram(*G.P, CompilerOptions{});
+    Heap H(*G.P);
+    Interpreter I(*G.P, CP, H);
+    I.start(G.Entry, {150});
+    for (uint64_t Quantum : {50, 400, 3000, 20000}) {
+      I.step(Quantum);
+      std::vector<ObjRef> Roots = I.collectRoots();
+      std::vector<bool> Expected = perBitReachable(H, Roots);
+      uint64_t Count = Oracle.capture(H, Roots);
+      Total += Count;
+      EXPECT_EQ(Count, static_cast<uint64_t>(std::count(
+                           Expected.begin(), Expected.end(), true)))
+          << "seed " << Seed << " after " << I.stepsExecuted() << " steps";
+      EXPECT_EQ(Oracle.toBits(Expected.size()), Expected) << "seed " << Seed;
+      EXPECT_EQ(computeReachable(H, Roots), Expected) << "seed " << Seed;
+      // Nothing is marked outside a cycle, so any non-empty capture
+      // fails the check.
+      EXPECT_EQ(Oracle.holds(H), Count == 0) << "seed " << Seed;
+    }
+  }
+  EXPECT_GT(Total, 100u); // the corpus builds real object graphs
+}
+
+TEST_F(HeapFixture, ReachabilityOracleCheckIsWordExact) {
+  // 150 objects: ObjRefs 1..150, so the bitmap's last word (128..191) is
+  // partial. An array holds every object but one; the check must fail
+  // when any single reachable object is unmarked — at either side of a
+  // word boundary (63, 64) and in the last partial word (150) — and must
+  // ignore the unreachable one.
+  Heap H(P);
+  ObjRef Arr = H.allocateRefArray(200);
+  ASSERT_EQ(Arr, 1u);
+  const ObjRef Unreached = 100;
+  for (ObjRef R = 2; R <= 150; ++R) {
+    ASSERT_EQ(H.allocateObject(C), R);
+    if (R != Unreached)
+      H.object(Arr).refs()[R] = R;
+  }
+  ASSERT_EQ(H.refHighWater(), 151u);
+  ReachabilityOracle Oracle;
+  EXPECT_EQ(Oracle.capture(H, {Arr}), 149u);
+  auto MarkAllBut = [&](ObjRef Skip) {
+    H.clearMarks();
+    for (ObjRef R = 1; R <= 150; ++R)
+      if (R != Skip)
+        H.setMarked(R);
+  };
+  MarkAllBut(NullRef);
+  EXPECT_TRUE(Oracle.holds(H));
+  MarkAllBut(Unreached);
+  EXPECT_TRUE(Oracle.holds(H));
+  for (ObjRef Victim : {ObjRef(63), ObjRef(64), ObjRef(150)}) {
+    MarkAllBut(Victim);
+    EXPECT_FALSE(Oracle.holds(H)) << "unmarked snapshot object " << Victim;
+  }
+  // Dead counts as unmarked, too.
+  MarkAllBut(NullRef);
+  H.free(150);
+  EXPECT_FALSE(Oracle.holds(H));
+}
+
+// --- High-water-bounded pause walks ---------------------------------------
+
+TEST(CardTable, TestThenCleanKeepsEveryDirtyCard) {
+  // The read before the exchange may skip only clean cards: every card
+  // dirtied before the scan reports dirty exactly once and ends clean.
+  CardTable Cards;
+  Cards.ensureCapacity(1000);
+  const std::vector<ObjRef> Dirtied = {0, 127, 128, 640, 1000};
+  for (ObjRef R : Dirtied)
+    Cards.dirty(R);
+  for (uint32_t Card = 0; Card != Cards.numCards(); ++Card) {
+    bool Want = std::any_of(Dirtied.begin(), Dirtied.end(), [&](ObjRef R) {
+      return (R >> CardTable::CardShift) == Card;
+    });
+    EXPECT_EQ(Cards.testAndClean(Card), Want) << "card " << Card;
+    EXPECT_FALSE(Cards.testAndClean(Card)) << "card " << Card;
+    EXPECT_FALSE(Cards.isDirty(Card)) << "card " << Card;
+  }
+  EXPECT_FALSE(Cards.anyDirty());
+  // The walk bound: the cards covering ObjRefs below a high-water mark.
+  EXPECT_EQ(Cards.numCards(), 8u);
+  EXPECT_EQ(Cards.cardsBelow(0), 0u);
+  EXPECT_EQ(Cards.cardsBelow(1), 1u);
+  EXPECT_EQ(Cards.cardsBelow(128), 1u);
+  EXPECT_EQ(Cards.cardsBelow(129), 2u);
+  EXPECT_EQ(Cards.cardsBelow(1u << 30), 8u);
+}
+
+TEST_F(HeapFixture, HighWaterWalksMatchFullTableWalks) {
+  // A multi-mutator heap at 2^22 capacity holding a few hundred objects:
+  // the minor GC, forEachYoung and the sweep stop at the ref high-water
+  // mark, and must free, promote and count exactly what a walk of the
+  // whole table finds.
+  constexpr uint32_t Capacity = 1u << 22;
+  Heap H(P);
+  std::vector<ObjRef> Pre; // single-mutator objects, below every TLAB block
+  for (int I = 0; I != 40; ++I)
+    Pre.push_back(H.allocateObject(C));
+  H.enterMultiMutator(Capacity);
+  Heap::NurseryConfig NC;
+  NC.NurseryBytes = 64 * 1024;
+  H.enableNursery(NC);
+  MinorGC Gen(H);
+  Gen.ensureCapacity(Capacity);
+  Gen.setRemSetValid(true);
+
+  Heap::Tlab Tlabs[3];
+  std::vector<ObjRef> Young;
+  ObjRef BigMid = NullRef;
+  for (int I = 0; I != 300; ++I) {
+    Young.push_back(H.allocateObjectTlab(Tlabs[I % 3], C));
+    if (I == 150) // pretenured (born old), mid-heap
+      BigMid = H.allocateRefArrayTlab(Tlabs[1], 4096);
+  }
+  // A pretenured array is born old; allocated last, it holds the highest
+  // ObjRef, so its card is the last one in use.
+  ObjRef Big = H.allocateRefArrayTlab(Tlabs[2], 4096);
+  EXPECT_FALSE(H.isYoung(Big));
+  EXPECT_GT(Big, Young.back());
+  EXPECT_LT(H.refHighWater(), 1024u);
+  EXPECT_LE(Big, H.refHighWater() - 1);
+  std::vector<ObjRef> Ascending = Young; // TLABs interleave their blocks
+  std::sort(Ascending.begin(), Ascending.end());
+  EXPECT_EQ(youngByFullWalk(H), Ascending);
+  std::vector<ObjRef> Seen;
+  H.forEachYoung([&](ObjRef R) { Seen.push_back(R); });
+  EXPECT_EQ(Seen, Ascending);
+
+  // Old-to-young edges recorded on the first card and on the last one in
+  // use; a young chain hangs off a root; an old object on a card with no
+  // recorded edge holds an unrecorded one (its referent must die).
+  auto Link = [&](ObjRef From, ObjRef To) { H.object(From).refs()[0] = To; };
+  Link(Pre[0], Young[10]);
+  Gen.recordOldToYoung(Pre[0]);
+  Link(Pre[39], Young[20]);
+  Gen.recordOldToYoung(Pre[39]);
+  Link(Big, Young[299]);
+  Gen.recordOldToYoung(Big);
+  Link(BigMid, Young[200]); // never recorded
+  Link(Young[10], Young[11]);
+  Link(Young[100], Young[101]);
+  Link(Young[101], Young[102]);
+  Link(Young[250], Young[251]); // unreachable young chain
+  const uint32_t LastCard =
+      (H.refHighWater() - 1) >> CardTable::CardShift;
+  ASSERT_EQ(Big >> CardTable::CardShift, LastCard);
+  ASSERT_NE(BigMid >> CardTable::CardShift, LastCard);
+  ASSERT_NE(BigMid >> CardTable::CardShift, 0u);
+  std::set<uint32_t> DirtyCards = {Pre[0] >> CardTable::CardShift,
+                                   Pre[39] >> CardTable::CardShift,
+                                   Big >> CardTable::CardShift};
+  const std::set<ObjRef> Survivors = {Young[10], Young[11], Young[20],
+                                      Young[299], Young[100], Young[101],
+                                      Young[102]};
+  Gen.collect({Young[100]});
+  const MinorGCStats &S = Gen.stats();
+  EXPECT_EQ(S.WholesalePromotions, 0u);
+  EXPECT_EQ(S.PromotedObjects, Survivors.size());
+  EXPECT_EQ(S.FreedYoung, Young.size() - Survivors.size());
+  EXPECT_EQ(S.RemSetCardsScanned, DirtyCards.size());
+  for (ObjRef R : Young)
+    EXPECT_EQ(H.isLive(R), Survivors.count(R) == 1) << "young " << R;
+  EXPECT_TRUE(youngByFullWalk(H).empty());
+  EXPECT_FALSE(Gen.remSet().anyDirty());
+
+  // The wholesale path's remembered-set clean is bounded the same way.
+  ObjRef Late = H.allocateObjectTlab(Tlabs[0], C);
+  Link(Pre[5], Late);
+  Gen.recordOldToYoung(Pre[5]);
+  Gen.recordOldToYoung(Big);
+  Gen.setRemSetValid(false);
+  Gen.collect({});
+  EXPECT_TRUE(H.isLive(Late) && !H.isYoung(Late));
+  EXPECT_FALSE(Gen.remSet().anyDirty());
+
+  // Sweep: mark every third live object; the bounded sweep must free
+  // exactly the live-unmarked set of the full table and clear every mark.
+  std::vector<ObjRef> Unmarked;
+  for (ObjRef R = 1, I = 0; R <= H.maxRef(); ++R) {
+    if (!H.isLive(R))
+      continue;
+    if (I++ % 3 == 0)
+      H.setMarked(R);
+    else
+      Unmarked.push_back(R);
+  }
+  EXPECT_EQ(H.sweepUnmarked(), Unmarked.size());
+  for (ObjRef R : Unmarked)
+    EXPECT_FALSE(H.isLive(R)) << R;
+  for (ObjRef R = 1; R <= H.maxRef(); ++R)
+    ASSERT_FALSE(H.isMarked(R)) << R;
+
+  H.disableNursery();
+  H.exitMultiMutator();
+}
+
+TEST_F(HeapFixture, WalksCoverWholeTableAfterExitMultiMutator) {
+  // Leaving multi-mutator mode keeps the table at capacity and resumes
+  // single-mutator allocation at its end, far above the last TLAB block:
+  // the walks must then cover the whole table again.
+  constexpr uint32_t Capacity = 1u << 12;
+  Heap H(P);
+  ObjRef Pre = H.allocateObject(C);
+  H.enterMultiMutator(Capacity);
+  Heap::Tlab T;
+  ObjRef Mid = H.allocateObjectTlab(T, C);
+  EXPECT_EQ(H.refHighWater(), 128u);
+  H.exitMultiMutator();
+  EXPECT_EQ(H.refHighWater(), Capacity);
+  ObjRef Post = H.allocateObject(C);
+  EXPECT_EQ(Post, Capacity);
+  EXPECT_EQ(H.refHighWater(), Capacity + 1);
+
+  H.enableNursery();
+  ObjRef Young = H.allocateObject(C);
+  std::vector<ObjRef> Seen;
+  H.forEachYoung([&](ObjRef R) { Seen.push_back(R); });
+  EXPECT_EQ(Seen, std::vector<ObjRef>{Young});
+  MinorGC Gen(H);
+  Gen.setRemSetValid(true);
+  H.object(Post).refs()[0] = Young;
+  Gen.recordOldToYoung(Post);
+  Gen.collect({});
+  EXPECT_TRUE(H.isLive(Young) && !H.isYoung(Young));
+  EXPECT_EQ(Gen.stats().RemSetCardsScanned, 1u);
+  H.disableNursery();
+
+  ReachabilityOracle Oracle;
+  EXPECT_EQ(Oracle.capture(H, {Post}), 2u);
+  EXPECT_EQ(Oracle.toBits(H.maxRef() + 1), computeReachable(H, {Post}));
+  H.setMarked(Pre);
+  EXPECT_EQ(H.sweepUnmarked(), 3u); // Mid, Post, Young
+  EXPECT_TRUE(H.isLive(Pre));
+  EXPECT_FALSE(H.isLive(Mid) || H.isLive(Post) || H.isLive(Young));
 }

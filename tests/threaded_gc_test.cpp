@@ -455,6 +455,38 @@ TEST(MultiMutator, RandomProgramsWithNursery) {
   }
 }
 
+TEST(MultiMutator, NurseryMinorGCOnlyAtPolls) {
+  // One-step quanta make every instruction boundary a quantum end. The
+  // young-target proof elides the remembered-set barrier on a store into
+  // an object allocated since the last poll; a minor GC served between
+  // that New and the store would promote the target and leave an
+  // unrecorded old-to-young edge (a RemSetViolation). Mutators must
+  // therefore park only at polls or between requests, however the
+  // quantum falls. A tiny nursery keeps minor GCs coming all run long.
+  Workload W = makeJbbLike();
+  CompilerOptions Opts;
+  Opts.Interp = InterpMode::Fast;
+  Opts.Barrier = BarrierMode::Generational;
+  CompiledProgram CP = compileProgram(*W.P, Opts);
+  for (bool Fuse : {true, false}) {
+    const char *What = Fuse ? "fused" : "unfused";
+    MultiMutatorConfig Cfg;
+    Cfg.PollQuantum = 1;
+    Cfg.WarmupAllocs = 100;
+    Cfg.Fuse = Fuse;
+    Cfg.EnableNursery = true;
+    Cfg.NurseryBytes = 16 * 1024;
+    MultiMutatorResult R =
+        runWithConcurrentMutators(3, *W.P, CP, W.Entry, {4000}, Cfg);
+    expectClean(R, What);
+    uint64_t RemSetViolations = 0;
+    for (const SiteStats &S : R.Merged.flat())
+      RemSetViolations += S.RemSetViolations;
+    EXPECT_EQ(RemSetViolations, 0u) << What;
+    EXPECT_GT(R.Minor.Collections, 1u) << What;
+  }
+}
+
 // --- Parallel marking (sharded mark stacks, MarkThreads > 1) ----------------
 
 TEST(MultiMutator, MarkOnceUnderParallelMarking) {
