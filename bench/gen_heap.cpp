@@ -46,7 +46,7 @@ template <typename Engine> void splitBySpace(const Engine &I, GenRun &R) {
   for (const SiteStats &SS : I.stats().flat()) {
     if (SS.Execs == 0)
       continue;
-    if (SS.YoungDecision) {
+    if (SS.Plan.Rem == RemPlan::Elided) {
       R.YoungExecs += SS.Execs;
       R.YoungElided += SS.Elided;
     } else {

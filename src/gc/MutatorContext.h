@@ -78,6 +78,9 @@ public:
   /// minor-GC coordinator inside the stop-the-world pause — legal because
   /// the owner is parked.
   void invalidateNurseryTlab() { H.invalidateNurseryTlab(T); }
+  /// Adds the TLAB's pending installs to the heap's counters
+  /// (Heap::publishTlab).
+  void publishAllocations() { H.publishTlab(T); }
 
   // --- SATB logging -------------------------------------------------------
 

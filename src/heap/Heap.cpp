@@ -253,10 +253,8 @@ char *Heap::tlabBlock(Tlab &T, uint32_t Bytes) {
 ObjRef Heap::tlabInstall(Tlab &T, HeapObject *Obj) {
   std::memset(static_cast<void *>(Obj + 1), 0,
               Obj->blockBytes() - sizeof(HeapObject));
-  __atomic_fetch_add(&NumAllocated, uint64_t(1), __ATOMIC_RELAXED);
-  __atomic_fetch_add(&NumLive, uint64_t(1), __ATOMIC_RELAXED);
-  __atomic_fetch_add(&BytesAllocated, uint64_t(Obj->blockBytes()),
-                     __ATOMIC_RELAXED);
+  ++T.PendingObjects;
+  T.PendingBytes += Obj->blockBytes();
   if (T.NextRef == T.RefEnd) {
     std::lock_guard<std::mutex> Lock(SlowLock);
     T.NextRef = RefCursor;
@@ -264,6 +262,9 @@ ObjRef Heap::tlabInstall(Tlab &T, HeapObject *Obj) {
     T.RefEnd = RefCursor;
     assert(T.RefEnd <= Table.size() &&
            "heap over capacity — raise MultiMutatorConfig::HeapCapacityRefs");
+    publishTlab(T);
+  } else if (T.PendingBytes >= TlabChunkBytes) {
+    publishTlab(T);
   }
   ObjRef R = T.NextRef++;
   // Live/mark bits first, table entry last: the release publication of
@@ -281,6 +282,17 @@ ObjRef Heap::tlabInstall(Tlab &T, HeapObject *Obj) {
                       __ATOMIC_RELAXED);
   __atomic_store_n(&Table[R], Obj, __ATOMIC_RELEASE);
   return R;
+}
+
+void Heap::publishTlab(Tlab &T) {
+  if (T.PendingObjects == 0)
+    return;
+  __atomic_fetch_add(&NumAllocated, uint64_t(T.PendingObjects),
+                     __ATOMIC_RELAXED);
+  __atomic_fetch_add(&NumLive, uint64_t(T.PendingObjects), __ATOMIC_RELAXED);
+  __atomic_fetch_add(&BytesAllocated, T.PendingBytes, __ATOMIC_RELAXED);
+  T.PendingObjects = 0;
+  T.PendingBytes = 0;
 }
 
 ObjRef Heap::allocateObjectTlab(Tlab &T, ClassId C) {

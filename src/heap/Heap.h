@@ -190,12 +190,24 @@ public:
   // free lists and FreeRefs (valid only because frees happen solely in
   // stop-the-world sweeps; recycled space is picked up again once the heap
   // leaves multi-mutator mode).
+  //
+  // The allocation counters (numAllocated, numLive, bytesAllocatedApprox)
+  // are shared, so a Tlab counts its installs privately and adds them
+  // to the heap's counters in batches: at a ref-block refill, once a
+  // chunk's worth of bytes is pending, and in publishTlab. Per-install
+  // atomic adds would bounce one cache line between every mutator and the
+  // pacer's polls on every allocation, at a cost that depends on which
+  // cores the threads land on.
 
   struct Tlab {
     char *Cur = nullptr;
     char *End = nullptr;
     ObjRef NextRef = 0;
     ObjRef RefEnd = 0;
+    /// Installs not yet added to the heap's counters: fewer than
+    /// RefBlockRefs objects and TlabChunkBytes bytes.
+    uint32_t PendingObjects = 0;
+    uint64_t PendingBytes = 0;
     /// Objects carved from the current chunk are born young. True for
     /// nursery chunks, but also for old-space chunks handed out while the
     /// nursery is enabled but exhausted: youngness is a logical property
@@ -355,6 +367,11 @@ public:
   /// high-water mark is kept). Call with no threads live.
   void exitMultiMutator();
   bool multiMutator() const { return MultiMutator; }
+
+  /// Adds \p T's pending installs to the heap's counters. The owning
+  /// mutator, or any thread while it is parked or has exited: every pause
+  /// publishes each Tlab before it reads the counters or frees objects.
+  void publishTlab(Tlab &T);
 
   ObjRef allocateObjectTlab(Tlab &T, ClassId C);
   ObjRef allocateRefArrayTlab(Tlab &T, uint32_t Length);
@@ -540,8 +557,10 @@ public:
   /// live/mark bitmaps, at most refHighWater() bits) is live and marked.
   bool allLiveAndMarked(const std::vector<uint64_t> &Bits) const;
 
-  // Counter reads may race with TLAB installs (e.g. the coordinator's
-  // warmup wait); relaxed atomics keep them exact without ordering cost.
+  // Counter reads may race with TLAB publication (e.g. the coordinator's
+  // warmup wait and the pacer's polls); relaxed atomics keep them exact
+  // without ordering cost. Between pauses they lag each running Tlab's
+  // pending installs (see Tlab).
   uint64_t numAllocated() const {
     return __atomic_load_n(&NumAllocated, __ATOMIC_RELAXED);
   }

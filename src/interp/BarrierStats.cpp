@@ -17,10 +17,7 @@ void BarrierStats::init(const CompiledProgram &CP) {
         continue;
       SiteStats &SS = Flat[Offsets[M] + I];
       SS.IsArray = D.IsArraySite;
-      SS.ElideDecision = D.Elide && CP.Options.ApplyElision;
-      SS.RearrangeDecision =
-          I < CM.RearrangeStores.size() && CM.RearrangeStores[I];
-      SS.YoungDecision = D.TargetYoung && CP.Options.ApplyElision;
+      SS.Plan = CM.Plans[I];
       SS.Reason = D.Reason;
     }
   }
@@ -32,9 +29,7 @@ void BarrierStats::merge(const BarrierStats &Other) {
   for (size_t I = 0, E = Flat.size(); I != E; ++I) {
     SiteStats &D = Flat[I];
     const SiteStats &S = Other.Flat[I];
-    assert(D.IsArray == S.IsArray && D.ElideDecision == S.ElideDecision &&
-           D.RearrangeDecision == S.RearrangeDecision &&
-           D.YoungDecision == S.YoungDecision &&
+    assert(D.IsArray == S.IsArray && D.Plan == S.Plan &&
            D.Reason == S.Reason && "shards disagree on translation facts");
     D.Execs += S.Execs;
     D.PreNull += S.PreNull;
@@ -66,7 +61,7 @@ BarrierStats::Summary BarrierStats::summarize() const {
     S.YoungSeen += SS.YoungSeen;
     S.SpecElided += SS.SpecElided;
     S.Deopts += SS.Deopts;
-    if (SS.YoungDecision)
+    if (SS.Plan.Rem == RemPlan::Elided)
       S.YoungExecs += SS.Execs;
     if (SS.IsArray) {
       S.ArrayExecs += SS.Execs;
@@ -89,7 +84,7 @@ std::vector<BarrierStats::SiteRow> BarrierStats::topSites(size_t N,
       const SiteStats &SS = Flat[Offsets[M] + I];
       if (SS.Execs == 0)
         continue;
-      if (OnlyKept && SS.ElideDecision)
+      if (OnlyKept && SS.Plan.Mark == MarkPlan::Elided)
         continue;
       Rows.push_back(SiteRow{M, I, SS});
     }

@@ -48,11 +48,9 @@ struct SiteStats {
   uint64_t SpecElided = 0; ///< guarded executions that skipped a barrier
   uint64_t Deopts = 0;     ///< guard failures that deoptimized here
   bool IsArray = false;
-  bool ElideDecision = false;
-  bool RearrangeDecision = false;
-  /// The young-target proof held: the remembered-set component is removed
-  /// (BarrierMode::Generational with ApplyElision).
-  bool YoungDecision = false;
+  /// The compiled plan executed here (CompiledMethod::Plans) — the
+  /// static tier's verdict, whichever tier ran the site.
+  BarrierPlan Plan;
   ElisionReason Reason = ElisionReason::None;
 
   friend bool operator==(const SiteStats &A, const SiteStats &B) {
@@ -64,9 +62,7 @@ struct SiteStats {
            A.RemSetViolations == B.RemSetViolations &&
            A.YoungSeen == B.YoungSeen && A.SpecElided == B.SpecElided &&
            A.Deopts == B.Deopts && A.IsArray == B.IsArray &&
-           A.ElideDecision == B.ElideDecision &&
-           A.RearrangeDecision == B.RearrangeDecision &&
-           A.YoungDecision == B.YoungDecision && A.Reason == B.Reason;
+           A.Plan == B.Plan && A.Reason == B.Reason;
   }
   friend bool operator!=(const SiteStats &A, const SiteStats &B) {
     return !(A == B);
@@ -141,7 +137,7 @@ public:
 
   /// Folds another shard's dynamic counters into this one. Both must be
   /// init'ed from the same compiled program: per-site decision fields
-  /// (IsArray, ElideDecision, RearrangeDecision, Reason) are translation
+  /// (IsArray, Plan, Reason) are translation
   /// facts, identical across shards, and are asserted to agree. Used by
   /// the multi-mutator driver to aggregate each engine's per-thread shard.
   void merge(const BarrierStats &Other);

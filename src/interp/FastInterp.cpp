@@ -187,13 +187,16 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
 // Generational remembered-set tails (BarrierMode::Generational). The
 // marking component reuses BARRIER_SATB / BARRIER_ELIDED above; these
 // add the old-to-young component with the reference engine's exact cost
-// model. Statics never expand them (roots need no remembered set).
-#define BARRIER_GEN_REMSET(BaseRef, NewRef)                                    \
+// model. ANYYOUNG is the store's value test — one value for a scalar
+// store, a word scan of the new values for a bulk one (read strictly
+// before any slot is written), paid once per store either way. Statics
+// never expand them (roots need no remembered set).
+#define BARRIER_GEN_REMSET(BaseRef, ANYYOUNG)                                  \
   do {                                                                         \
     BarrierCost += 2; /* young-test the base */                                \
     if (!H.isYoung(BaseRef)) {                                                 \
-      BarrierCost += 2; /* null + young test the stored value */               \
-      if ((NewRef) != NullRef && H.isYoung(NewRef)) {                          \
+      BarrierCost += 2; /* null + young test the stored value(s) */            \
+      if (ANYYOUNG) {                                                          \
         BarrierCost += 2; /* shift + dirty the card */                         \
         ++SS.RemSetDirtied;                                                    \
         if (Gen)                                                               \
@@ -252,8 +255,6 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
   if (Pre == NullRef)                                                          \
   ++SS.PreNull
 
-#define PUTFIELD_REF_PROLOGUE() PUTFIELD_REF_PROLOGUE_AT(IP[0], POP())
-
 #define PUTSTATIC_REF_PROLOGUE()                                               \
   Slot Val = POP();                                                            \
   ObjRef *SlotP = StaticR + IP->A;                                             \
@@ -280,8 +281,6 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
   ++SS.Execs;                                                                  \
   if (Pre == NullRef)                                                          \
   ++SS.PreNull
-
-#define AASTORE_PROLOGUE() AASTORE_PROLOGUE_AT(IP[0], POP())
 
 // --- Bulk-store plumbing ----------------------------------------------------
 //
@@ -390,79 +389,9 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
 #define RANGE_BARRIER_ELIDED() ++SS.Elided
 #endif
 
-// One young test of the base and at most one value scan / card dirty for
-// the whole range. ANYYOUNG is the variant-specific scan expression: the
-// fill tests its single value, the copy word-scans the source range
-// (Heap::anyYoung) — both read strictly before any slot is written.
-#define RANGE_GEN_REMSET(ANYYOUNG)                                             \
-  do {                                                                         \
-    BarrierCost += 2; /* young-test the base once */                           \
-    if (!H.isYoung(Arr)) {                                                     \
-      BarrierCost += 2; /* one word-at-a-time null+young value scan */         \
-      if (ANYYOUNG) {                                                          \
-        BarrierCost += 2; /* shift + dirty the card, once */                   \
-        ++SS.RemSetDirtied;                                                    \
-        if (Gen)                                                               \
-          Gen->recordOldToYoung(Arr);                                          \
-      }                                                                        \
-    } else {                                                                   \
-      ++SS.YoungSeen;                                                          \
-    }                                                                          \
-  } while (0)
-
+#define VAL_ANYYOUNG (Val.Ref != NullRef && H.isYoung(Val.Ref))
 #define FILL_ANYYOUNG (N != 0 && Val != NullRef && H.isYoung(Val))
 #define COPY_ANYYOUNG (H.anyYoung(SrcP, N))
-
-// Speculative-tier bulk components: the per-slot SPEC_* logic with the
-// range guards — the mark guard is "whole destination range pre-null"
-// (the prologue's AllPreNull), the rem guard is the base's young test. A
-// failing guard replays the conservative *range* barrier inline, then
-// the handler completes the bulk store and deopts, exactly like the
-// per-slot stores.
-#define SPEC_RANGE_MARK_COMPONENT()                                            \
-  do {                                                                         \
-    uint16_t Flags = IP->C;                                                    \
-    if (Flags & kSpecMarkNull) {                                               \
-      BarrierCost += 1; /* the all-null range guard */                         \
-      if (AllPreNull && !forcedDeopt()) {                                      \
-        ++SS.SpecElided;                                                       \
-      } else {                                                                 \
-        Genuine |= !AllPreNull;                                                \
-        if (Flags & kSpecAlwaysLog)                                            \
-          RANGE_BARRIER_ALWAYSLOG();                                           \
-        else                                                                   \
-          RANGE_BARRIER_SATB();                                                \
-        Deopt = true;                                                          \
-      }                                                                        \
-    } else if (Flags & kSpecMarkStaticElided) {                                \
-      RANGE_BARRIER_ELIDED();                                                  \
-    } else if (Flags & kSpecMarkKept) {                                        \
-      if (Flags & kSpecAlwaysLog)                                              \
-        RANGE_BARRIER_ALWAYSLOG();                                             \
-      else                                                                     \
-        RANGE_BARRIER_SATB();                                                  \
-    }                                                                          \
-  } while (0)
-
-#define SPEC_RANGE_REM_COMPONENT(ANYYOUNG)                                     \
-  do {                                                                         \
-    uint16_t Flags = IP->C;                                                    \
-    if (Flags & kSpecRemYoung) {                                               \
-      BarrierCost += 1; /* the young guard */                                  \
-      bool Young = H.isYoung(Arr);                                             \
-      if (Young && !forcedDeopt()) {                                           \
-        ++SS.SpecElided;                                                       \
-      } else {                                                                 \
-        Genuine |= !Young;                                                     \
-        RANGE_GEN_REMSET(ANYYOUNG);                                            \
-        Deopt = true;                                                          \
-      }                                                                        \
-    } else if (Flags & kSpecRemStaticElided) {                                 \
-      BARRIER_GEN_YOUNG(Arr);                                                  \
-    } else if (Flags & kSpecRemKept) {                                         \
-      RANGE_GEN_REMSET(ANYYOUNG);                                              \
-    }                                                                          \
-  } while (0)
 
 // --- Superinstruction plumbing ---------------------------------------------
 //
@@ -508,61 +437,76 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
 
 // --- Speculative-tier plumbing ---------------------------------------------
 //
-// A *_Spec store carries its guarded-elision plan in the instruction's C
-// field (SpecFlags, jit/FastCode.h). Each barrier component either
-// elides behind a dynamic guard, replays the static tier's proven
-// elision, or keeps the conservative barrier. A failing guard executes
-// the full conservative barrier inline — so LoggedPreValues and
-// RemSetDirtied match a never-speculated run exactly — completes the
-// store, and only then deopts; the handler is past every trap check at
-// that point, so the frame sits at an instruction boundary
-// (Safepoint-compatible). The forcedDeopt() testing knob takes the same
-// failure path with the guard actually holding; the replayed
-// conservative barrier is then semantically a no-op, which is what keeps
-// forced deopt storms observationally invisible. `Deopt` / `Genuine` are
-// handler locals; the prologue's Pre / Val / SS are in scope.
-#define SPEC_MARK_COMPONENT(SI)                                                \
+// A *_Spec store carries its guarded plan in the instruction's C field
+// (BarrierPlan::bits). Each barrier component either elides behind a
+// dynamic guard — the mark guard is "Pre == null" (for a bulk store:
+// "the whole destination range is pre-null"), the rem guard is the
+// base's young test — replays the static tier's proven elision, or keeps
+// the conservative barrier. A failing guard executes the full
+// conservative barrier inline — so LoggedPreValues and RemSetDirtied
+// match a never-speculated run exactly — completes the store, and only
+// then deopts; the handler is past every trap check at that point, so
+// the frame sits at an instruction boundary (Safepoint-compatible). The
+// forcedDeopt() testing knob takes the same failure path with the guard
+// actually holding; the replayed conservative barrier is then
+// semantically a no-op, which is what keeps forced deopt storms
+// observationally invisible. `Deopt` / `Genuine` are handler locals; the
+// prologue's Pre / Val / SS are in scope.
+#define SPEC_MARK_COMPONENT(SHAPE, SI, B, PRENULL)                             \
   do {                                                                         \
-    uint16_t Flags = (SI).C;                                                   \
-    if (Flags & kSpecMarkNull) {                                               \
+    switch (BarrierPlan::fromBits((SI).C).Mark) {                              \
+    case MarkPlan::GuardNull:                                                  \
+    case MarkPlan::GuardNullAlwaysLog:                                         \
       BarrierCost += 1; /* the null guard */                                   \
-      if (Pre == NullRef && !forcedDeopt()) {                                  \
+      if ((PRENULL) && !forcedDeopt()) {                                       \
         ++SS.SpecElided;                                                       \
       } else {                                                                 \
-        Genuine |= Pre != NullRef;                                             \
-        if (Flags & kSpecAlwaysLog)                                            \
-          BARRIER_ALWAYSLOG();                                                 \
+        Genuine |= !(PRENULL);                                                 \
+        if (BarrierPlan::fromBits((SI).C).Mark ==                              \
+            MarkPlan::GuardNullAlwaysLog)                                      \
+          MARK_##SHAPE##_AlwaysLog(SI, B);                                     \
         else                                                                   \
-          BARRIER_SATB();                                                      \
+          MARK_##SHAPE##_Satb(SI, B);                                          \
         Deopt = true;                                                          \
       }                                                                        \
-    } else if (Flags & kSpecMarkStaticElided) {                                \
-      BARRIER_ELIDED(Val.Ref);                                                 \
-    } else if (Flags & kSpecMarkKept) {                                        \
-      if (Flags & kSpecAlwaysLog)                                              \
-        BARRIER_ALWAYSLOG();                                                   \
-      else                                                                     \
-        BARRIER_SATB();                                                        \
+      break;                                                                   \
+    case MarkPlan::Elided:                                                     \
+      MARK_##SHAPE##_Elided(SI, B);                                            \
+      break;                                                                   \
+    case MarkPlan::Satb:                                                       \
+      MARK_##SHAPE##_Satb(SI, B);                                              \
+      break;                                                                   \
+    case MarkPlan::AlwaysLog:                                                  \
+      MARK_##SHAPE##_AlwaysLog(SI, B);                                         \
+      break;                                                                   \
+    default:                                                                   \
+      break;                                                                   \
     }                                                                          \
   } while (0)
 
-#define SPEC_REM_COMPONENT(SI, BaseRef)                                        \
+#define SPEC_REM_COMPONENT(SI, BaseRef, ANYYOUNG)                              \
   do {                                                                         \
-    uint16_t Flags = (SI).C;                                                   \
-    if (Flags & kSpecRemYoung) {                                               \
+    switch (BarrierPlan::fromBits((SI).C).Rem) {                               \
+    case RemPlan::GuardYoung: {                                                \
       BarrierCost += 1; /* the young guard */                                  \
       bool Young = H.isYoung(BaseRef);                                         \
       if (Young && !forcedDeopt()) {                                           \
         ++SS.SpecElided;                                                       \
       } else {                                                                 \
         Genuine |= !Young;                                                     \
-        BARRIER_GEN_REMSET(BaseRef, Val.Ref);                                  \
+        BARRIER_GEN_REMSET(BaseRef, ANYYOUNG);                                 \
         Deopt = true;                                                          \
       }                                                                        \
-    } else if (Flags & kSpecRemStaticElided) {                                 \
+      break;                                                                   \
+    }                                                                          \
+    case RemPlan::Elided:                                                      \
       BARRIER_GEN_YOUNG(BaseRef);                                              \
-    } else if (Flags & kSpecRemKept) {                                         \
-      BARRIER_GEN_REMSET(BaseRef, Val.Ref);                                    \
+      break;                                                                   \
+    case RemPlan::Kept:                                                        \
+      BARRIER_GEN_REMSET(BaseRef, ANYYOUNG);                                   \
+      break;                                                                   \
+    case RemPlan::None:                                                        \
+      break;                                                                   \
     }                                                                          \
   } while (0)
 
@@ -582,6 +526,102 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
     IP = Frames.back().IP;                                                     \
     DISPATCH();                                                                \
   } while (0)
+
+// --- Generated store handlers ----------------------------------------------
+//
+// One handler per SATB_FAST_STORE_OPS row: the kind's prologue, the
+// plan's marking component, its remembered-set component, the kind's
+// store, and the exit. Each component expands to exactly its barrier
+// sequence — an Elided row runs no barrier instruction, and the `Deopt`
+// test is constant-false (folded away) everywhere but the Spec rows.
+//
+// Marking components per shape (scalar slot vs. bulk range); SI is the
+// instruction carrying the store's operands, B the written object.
+#define MARK_SCALAR_None(SI, B)
+#define MARK_SCALAR_Elided(SI, B) BARRIER_ELIDED(Val.Ref)
+#define MARK_SCALAR_Satb(SI, B) BARRIER_SATB()
+#define MARK_SCALAR_AlwaysLog(SI, B) BARRIER_ALWAYSLOG()
+#define MARK_SCALAR_Card(SI, B) BARRIER_CARD(B)
+#define MARK_SCALAR_GuardNull(SI, B)                                           \
+  SPEC_MARK_COMPONENT(SCALAR, SI, B, Pre == NullRef)
+#define MARK_RANGE_None(SI, B)
+#define MARK_RANGE_Elided(SI, B) RANGE_BARRIER_ELIDED()
+#define MARK_RANGE_Satb(SI, B) RANGE_BARRIER_SATB()
+#define MARK_RANGE_AlwaysLog(SI, B) RANGE_BARRIER_ALWAYSLOG()
+#define MARK_RANGE_Card(SI, B) BARRIER_CARD(B) /* one card covers the range */
+#define MARK_RANGE_GuardNull(SI, B)                                            \
+  SPEC_MARK_COMPONENT(RANGE, SI, B, AllPreNull)
+
+// Cards are per-object; the statics area (B = NullRef) has none to dirty.
+#define BARRIER_CARD(B)                                                        \
+  do {                                                                         \
+    BarrierCost += 2;                                                          \
+    if (Inc && (B) != NullRef)                                                 \
+      Inc->recordWrite(B);                                                     \
+  } while (0)
+
+// Section 4.3 rearrangement: inside an active bracket the permutation
+// store skips the log; outside it, the kept marking barrier runs.
+#define REARR_0(B, MARK) MARK
+#define REARR_1(B, MARK)                                                       \
+  if (Satb && Satb->isActive() && Satb->inActiveRearrange(B)) {                \
+    ++SS.Rearranged;                                                           \
+    BarrierCost += 1; /* the in-bracket check; state reads are hoisted */      \
+  } else {                                                                     \
+    MARK;                                                                      \
+  }
+
+// Remembered-set components: heap stores, and statics (roots: none).
+#define REM_HEAP_None(SI, B, ANYYOUNG)
+#define REM_HEAP_Elided(SI, B, ANYYOUNG) BARRIER_GEN_YOUNG(B)
+#define REM_HEAP_Kept(SI, B, ANYYOUNG) BARRIER_GEN_REMSET(B, ANYYOUNG)
+#define REM_HEAP_GuardYoung(SI, B, ANYYOUNG)                                   \
+  SPEC_REM_COMPONENT(SI, B, ANYYOUNG)
+#define REM_ROOT_None(SI, B, ANYYOUNG)
+#define REM_ROOT_Kept(SI, B, ANYYOUNG)
+#define REM_ROOT_GuardYoung(SI, B, ANYYOUNG)
+
+// Kind traits: mark shape, rem shape, prologue, written object, operand
+// instruction, value test, store, width (2 for the fused Load* pairs).
+#define PutFieldRef_TRAITS                                                     \
+  SCALAR, HEAP, PUTFIELD_REF_PROLOGUE_AT(IP[0], POP()), Obj, IP[0],            \
+      VAL_ANYYOUNG, storeRefRelease(SlotP, Val.Ref), 1
+#define LoadPutFieldRef_TRAITS                                                 \
+  SCALAR, HEAP, FUSE_LOAD(); PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]),     \
+      Obj, IP[1], VAL_ANYYOUNG, storeRefRelease(SlotP, Val.Ref), 2
+#define PutStaticRef_TRAITS                                                    \
+  SCALAR, ROOT, PUTSTATIC_REF_PROLOGUE(), NullRef, IP[0], false,               \
+      storeRefRelease(SlotP, Val.Ref), 1
+#define AAStore_TRAITS                                                         \
+  SCALAR, HEAP, AASTORE_PROLOGUE_AT(IP[0], POP()), Arr, IP[0], VAL_ANYYOUNG,   \
+      storeRefRelease(SlotP, Val.Ref), 1
+#define LoadAAStore_TRAITS                                                     \
+  SCALAR, HEAP, FUSE_LOAD(); AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]), Arr,     \
+      IP[1], VAL_ANYYOUNG, storeRefRelease(SlotP, Val.Ref), 2
+#define ArrayFill_TRAITS                                                       \
+  RANGE, HEAP, ARRAYFILL_PROLOGUE(), Arr, IP[0], FILL_ANYYOUNG,                \
+      storeRefRangeFill(DstP, N, Val), 1
+#define ArrayCopy_TRAITS                                                       \
+  RANGE, HEAP, ARRAYCOPY_PROLOGUE(), Arr, IP[0], COPY_ANYYOUNG,                \
+      storeRefRangeCopy(DstP, SrcP, N), 1
+
+#define NEXT1() NEXT()
+
+#define STORE_CASE(K, Name, M, R, Rr)                                          \
+  STORE_CASE_(K##_##Name, M, R, Rr, K##_TRAITS)
+#define STORE_CASE_(...) STORE_CASE_IMPL(__VA_ARGS__)
+#define STORE_CASE_IMPL(Op, M, R, Rr, MShape, RShape, Prologue, B, SI,        \
+                        ANYYOUNG, Store, W)                                    \
+  CASE(Op) {                                                                   \
+    Prologue;                                                                  \
+    [[maybe_unused]] bool Deopt = false, Genuine = false;                      \
+    REARR_##Rr(B, MARK_##MShape##_##M(SI, B));                                 \
+    REM_##RShape##_##R(SI, B, ANYYOUNG);                                       \
+    Store;                                                                     \
+    if (Deopt)                                                                 \
+      SPEC_DEOPT(W);                                                           \
+    NEXT##W();                                                                 \
+  }
 
 RunStatus FastInterp::step(uint64_t MaxSteps) {
   // The profiled loop is a separate instantiation so the production
@@ -610,7 +650,9 @@ RunStatus FastInterp::stepImpl(uint64_t MaxSteps) {
 #ifndef SATB_SWITCH_DISPATCH
   static const void *const Labels[] = {
 #define X(name) &&L_##name,
-      SATB_FAST_OPS(X)
+#define S(K, Name, M, R, Rr) &&L_##K##_##Name,
+      SATB_FAST_OPS(X, S)
+#undef S
 #undef X
   };
   DISPATCH();
@@ -727,75 +769,6 @@ DispatchTop:
     storeIntRelaxed(O.ints() + IP->A, Val.Int);
     NEXT();
   }
-  CASE(PutFieldRef_Elided) {
-    PUTFIELD_REF_PROLOGUE();
-    BARRIER_ELIDED(Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutFieldRef_NoBarrier) {
-    PUTFIELD_REF_PROLOGUE();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutFieldRef_Satb) {
-    PUTFIELD_REF_PROLOGUE();
-    BARRIER_SATB();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutFieldRef_AlwaysLog) {
-    PUTFIELD_REF_PROLOGUE();
-    BARRIER_ALWAYSLOG();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutFieldRef_Card) {
-    PUTFIELD_REF_PROLOGUE();
-    BarrierCost += 2;
-    if (Inc)
-      Inc->recordWrite(Obj);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutFieldRef_Gen) {
-    PUTFIELD_REF_PROLOGUE();
-    BARRIER_SATB();
-    BARRIER_GEN_REMSET(Obj, Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutFieldRef_GenPreNull) {
-    PUTFIELD_REF_PROLOGUE();
-    BARRIER_ELIDED(Val.Ref);
-    BARRIER_GEN_REMSET(Obj, Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutFieldRef_GenYoung) {
-    PUTFIELD_REF_PROLOGUE();
-    BARRIER_SATB();
-    BARRIER_GEN_YOUNG(Obj);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutFieldRef_GenElided) {
-    PUTFIELD_REF_PROLOGUE();
-    BARRIER_ELIDED(Val.Ref);
-    BARRIER_GEN_YOUNG(Obj);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutFieldRef_Spec) {
-    PUTFIELD_REF_PROLOGUE();
-    bool Deopt = false, Genuine = false;
-    SPEC_MARK_COMPONENT(IP[0]);
-    SPEC_REM_COMPONENT(IP[0], Obj);
-    storeRefRelease(SlotP, Val.Ref);
-    if (Deopt)
-      SPEC_DEOPT(1);
-    NEXT();
-  }
   CASE(GetStaticRef) {
     PUSH(Slot::ofRef(loadRefAcquire(StaticR + IP->A)));
     NEXT();
@@ -806,55 +779,6 @@ DispatchTop:
   }
   CASE(PutStaticInt) {
     storeIntRelaxed(StaticI + IP->A, POP().Int);
-    NEXT();
-  }
-  CASE(PutStaticRef_Elided) {
-    PUTSTATIC_REF_PROLOGUE();
-    BARRIER_ELIDED(Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutStaticRef_NoBarrier) {
-    PUTSTATIC_REF_PROLOGUE();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutStaticRef_Satb) {
-    PUTSTATIC_REF_PROLOGUE();
-    BARRIER_SATB();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutStaticRef_AlwaysLog) {
-    PUTSTATIC_REF_PROLOGUE();
-    BARRIER_ALWAYSLOG();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutStaticRef_Card) {
-    PUTSTATIC_REF_PROLOGUE();
-    // The written "object" is the statics area: no card to dirty (the
-    // reference engine passes Base = NullRef).
-    BarrierCost += 2;
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutStaticRef_Gen) {
-    PUTSTATIC_REF_PROLOGUE();
-    // Statics are roots: only the marking component applies (the
-    // reference engine passes Base = NullRef, skipping the remset).
-    BARRIER_SATB();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(PutStaticRef_Spec) {
-    PUTSTATIC_REF_PROLOGUE();
-    bool Deopt = false, Genuine = false;
-    // Statics never carry rem bits (roots need no remembered set).
-    SPEC_MARK_COMPONENT(IP[0]);
-    storeRefRelease(SlotP, Val.Ref);
-    if (Deopt)
-      SPEC_DEOPT(1);
     NEXT();
   }
   CASE(NewInstance) {
@@ -940,245 +864,15 @@ DispatchTop:
     PUSH(Slot::ofInt(O.arrayLength()));
     NEXT();
   }
-  CASE(AAStore_Elided) {
-    AASTORE_PROLOGUE();
-    BARRIER_ELIDED(Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(AAStore_NoBarrier) {
-    AASTORE_PROLOGUE();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(AAStore_Satb) {
-    AASTORE_PROLOGUE();
-    BARRIER_SATB();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(AAStore_AlwaysLog) {
-    AASTORE_PROLOGUE();
-    BARRIER_ALWAYSLOG();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(AAStore_Card) {
-    AASTORE_PROLOGUE();
-    BarrierCost += 2;
-    if (Inc)
-      Inc->recordWrite(Arr);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(AAStore_Gen) {
-    AASTORE_PROLOGUE();
-    BARRIER_SATB();
-    BARRIER_GEN_REMSET(Arr, Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(AAStore_GenPreNull) {
-    AASTORE_PROLOGUE();
-    BARRIER_ELIDED(Val.Ref);
-    BARRIER_GEN_REMSET(Arr, Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(AAStore_GenYoung) {
-    AASTORE_PROLOGUE();
-    BARRIER_SATB();
-    BARRIER_GEN_YOUNG(Arr);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(AAStore_GenElided) {
-    AASTORE_PROLOGUE();
-    BARRIER_ELIDED(Val.Ref);
-    BARRIER_GEN_YOUNG(Arr);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(AAStore_Spec) {
-    AASTORE_PROLOGUE();
-    bool Deopt = false, Genuine = false;
-    SPEC_MARK_COMPONENT(IP[0]);
-    SPEC_REM_COMPONENT(IP[0], Arr);
-    storeRefRelease(SlotP, Val.Ref);
-    if (Deopt)
-      SPEC_DEOPT(1);
-    NEXT();
-  }
-  CASE(AAStore_Rearr_Satb) {
-    AASTORE_PROLOGUE();
-    if (Satb && Satb->isActive() && Satb->inActiveRearrange(Arr)) {
-      ++SS.Rearranged;
-      BarrierCost += 1; // the in-bracket check; state reads are hoisted
-    } else {
-      BARRIER_SATB();
-    }
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
-  CASE(AAStore_Rearr_AlwaysLog) {
-    AASTORE_PROLOGUE();
-    if (Satb && Satb->isActive() && Satb->inActiveRearrange(Arr)) {
-      ++SS.Rearranged;
-      BarrierCost += 1;
-    } else {
-      BARRIER_ALWAYSLOG();
-    }
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT();
-  }
 
-  // --- Bulk stores -----------------------------------------------------------
-  // Barrier first, then the slot movement: pre-values and source
-  // originals are all read before any slot is written (self-copies may
-  // overlap). The barrier prologue is paid once per range — the
-  // _RangeBarrier / _RangeYoung / _RangeElided specializations of
-  // DESIGN.md map onto the Satb/AlwaysLog/Card/Gen, GenYoung, and
-  // Elided/GenElided variants respectively.
+  // --- Reference stores ------------------------------------------------------
+  // Every store kind x plan handler, generated from SATB_FAST_STORE_OPS.
+  // Bulk stores run the barrier first, then the slot movement:
+  // pre-values and source originals are all read before any slot is
+  // written (self-copies may overlap), and the barrier prologue is paid
+  // once per range.
+  SATB_FAST_STORE_OPS(STORE_CASE)
 
-  CASE(ArrayFill_Elided) {
-    ARRAYFILL_PROLOGUE();
-    RANGE_BARRIER_ELIDED();
-    storeRefRangeFill(DstP, N, Val);
-    NEXT();
-  }
-  CASE(ArrayFill_NoBarrier) {
-    ARRAYFILL_PROLOGUE();
-    storeRefRangeFill(DstP, N, Val);
-    NEXT();
-  }
-  CASE(ArrayFill_Satb) {
-    ARRAYFILL_PROLOGUE();
-    RANGE_BARRIER_SATB();
-    storeRefRangeFill(DstP, N, Val);
-    NEXT();
-  }
-  CASE(ArrayFill_AlwaysLog) {
-    ARRAYFILL_PROLOGUE();
-    RANGE_BARRIER_ALWAYSLOG();
-    storeRefRangeFill(DstP, N, Val);
-    NEXT();
-  }
-  CASE(ArrayFill_Card) {
-    ARRAYFILL_PROLOGUE();
-    // Cards are per-object here: one dirty covers the whole range.
-    BarrierCost += 2;
-    if (Inc)
-      Inc->recordWrite(Arr);
-    storeRefRangeFill(DstP, N, Val);
-    NEXT();
-  }
-  CASE(ArrayFill_Gen) {
-    ARRAYFILL_PROLOGUE();
-    RANGE_BARRIER_SATB();
-    RANGE_GEN_REMSET(FILL_ANYYOUNG);
-    storeRefRangeFill(DstP, N, Val);
-    NEXT();
-  }
-  CASE(ArrayFill_GenPreNull) {
-    ARRAYFILL_PROLOGUE();
-    RANGE_BARRIER_ELIDED();
-    RANGE_GEN_REMSET(FILL_ANYYOUNG);
-    storeRefRangeFill(DstP, N, Val);
-    NEXT();
-  }
-  CASE(ArrayFill_GenYoung) {
-    ARRAYFILL_PROLOGUE();
-    RANGE_BARRIER_SATB();
-    BARRIER_GEN_YOUNG(Arr);
-    storeRefRangeFill(DstP, N, Val);
-    NEXT();
-  }
-  CASE(ArrayFill_GenElided) {
-    ARRAYFILL_PROLOGUE();
-    RANGE_BARRIER_ELIDED();
-    BARRIER_GEN_YOUNG(Arr);
-    storeRefRangeFill(DstP, N, Val);
-    NEXT();
-  }
-  CASE(ArrayFill_Spec) {
-    ARRAYFILL_PROLOGUE();
-    bool Deopt = false, Genuine = false;
-    SPEC_RANGE_MARK_COMPONENT();
-    SPEC_RANGE_REM_COMPONENT(FILL_ANYYOUNG);
-    storeRefRangeFill(DstP, N, Val);
-    if (Deopt)
-      SPEC_DEOPT(1);
-    NEXT();
-  }
-  CASE(ArrayCopy_Elided) {
-    ARRAYCOPY_PROLOGUE();
-    RANGE_BARRIER_ELIDED();
-    storeRefRangeCopy(DstP, SrcP, N);
-    NEXT();
-  }
-  CASE(ArrayCopy_NoBarrier) {
-    ARRAYCOPY_PROLOGUE();
-    storeRefRangeCopy(DstP, SrcP, N);
-    NEXT();
-  }
-  CASE(ArrayCopy_Satb) {
-    ARRAYCOPY_PROLOGUE();
-    RANGE_BARRIER_SATB();
-    storeRefRangeCopy(DstP, SrcP, N);
-    NEXT();
-  }
-  CASE(ArrayCopy_AlwaysLog) {
-    ARRAYCOPY_PROLOGUE();
-    RANGE_BARRIER_ALWAYSLOG();
-    storeRefRangeCopy(DstP, SrcP, N);
-    NEXT();
-  }
-  CASE(ArrayCopy_Card) {
-    ARRAYCOPY_PROLOGUE();
-    BarrierCost += 2;
-    if (Inc)
-      Inc->recordWrite(Arr);
-    storeRefRangeCopy(DstP, SrcP, N);
-    NEXT();
-  }
-  CASE(ArrayCopy_Gen) {
-    ARRAYCOPY_PROLOGUE();
-    RANGE_BARRIER_SATB();
-    RANGE_GEN_REMSET(COPY_ANYYOUNG);
-    storeRefRangeCopy(DstP, SrcP, N);
-    NEXT();
-  }
-  CASE(ArrayCopy_GenPreNull) {
-    ARRAYCOPY_PROLOGUE();
-    RANGE_BARRIER_ELIDED();
-    RANGE_GEN_REMSET(COPY_ANYYOUNG);
-    storeRefRangeCopy(DstP, SrcP, N);
-    NEXT();
-  }
-  CASE(ArrayCopy_GenYoung) {
-    ARRAYCOPY_PROLOGUE();
-    RANGE_BARRIER_SATB();
-    BARRIER_GEN_YOUNG(Arr);
-    storeRefRangeCopy(DstP, SrcP, N);
-    NEXT();
-  }
-  CASE(ArrayCopy_GenElided) {
-    ARRAYCOPY_PROLOGUE();
-    RANGE_BARRIER_ELIDED();
-    BARRIER_GEN_YOUNG(Arr);
-    storeRefRangeCopy(DstP, SrcP, N);
-    NEXT();
-  }
-  CASE(ArrayCopy_Spec) {
-    ARRAYCOPY_PROLOGUE();
-    bool Deopt = false, Genuine = false;
-    SPEC_RANGE_MARK_COMPONENT();
-    SPEC_RANGE_REM_COMPONENT(COPY_ANYYOUNG);
-    storeRefRangeCopy(DstP, SrcP, N);
-    if (Deopt)
-      SPEC_DEOPT(1);
-    NEXT();
-  }
   CASE(Invoke) {
     if (Frames.size() >= MaxCallDepth)
       TRAP(StackOverflow);
@@ -1472,85 +1166,6 @@ DispatchTop:
     storeIntRelaxed(O.ints() + IP[1].A, Val.Int);
     NEXT2();
   }
-  CASE(LoadPutFieldRef_Elided) {
-    FUSE_LOAD();
-    PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_ELIDED(Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadPutFieldRef_NoBarrier) {
-    FUSE_LOAD();
-    PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadPutFieldRef_Satb) {
-    FUSE_LOAD();
-    PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_SATB();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadPutFieldRef_AlwaysLog) {
-    FUSE_LOAD();
-    PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_ALWAYSLOG();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadPutFieldRef_Card) {
-    FUSE_LOAD();
-    PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BarrierCost += 2;
-    if (Inc)
-      Inc->recordWrite(Obj);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadPutFieldRef_Gen) {
-    FUSE_LOAD();
-    PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_SATB();
-    BARRIER_GEN_REMSET(Obj, Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadPutFieldRef_GenPreNull) {
-    FUSE_LOAD();
-    PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_ELIDED(Val.Ref);
-    BARRIER_GEN_REMSET(Obj, Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadPutFieldRef_GenYoung) {
-    FUSE_LOAD();
-    PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_SATB();
-    BARRIER_GEN_YOUNG(Obj);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadPutFieldRef_GenElided) {
-    FUSE_LOAD();
-    PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_ELIDED(Val.Ref);
-    BARRIER_GEN_YOUNG(Obj);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadPutFieldRef_Spec) {
-    FUSE_LOAD();
-    PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]);
-    bool Deopt = false, Genuine = false;
-    SPEC_MARK_COMPONENT(IP[1]);
-    SPEC_REM_COMPONENT(IP[1], Obj);
-    storeRefRelease(SlotP, Val.Ref);
-    if (Deopt)
-      SPEC_DEOPT(2);
-    NEXT2();
-  }
   CASE(LoadAALoad) {
     FUSE_LOAD();
     int64_t Idx = Base[IP->A].Int;
@@ -1592,85 +1207,6 @@ DispatchTop:
     if (Idx < 0 || Idx >= O.arrayLength())
       TRAP(OutOfBounds);
     storeIntRelaxed(O.ints() + Idx, Val.Int);
-    NEXT2();
-  }
-  CASE(LoadAAStore_Elided) {
-    FUSE_LOAD();
-    AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_ELIDED(Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadAAStore_NoBarrier) {
-    FUSE_LOAD();
-    AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadAAStore_Satb) {
-    FUSE_LOAD();
-    AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_SATB();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadAAStore_AlwaysLog) {
-    FUSE_LOAD();
-    AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_ALWAYSLOG();
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadAAStore_Card) {
-    FUSE_LOAD();
-    AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BarrierCost += 2;
-    if (Inc)
-      Inc->recordWrite(Arr);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadAAStore_Gen) {
-    FUSE_LOAD();
-    AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_SATB();
-    BARRIER_GEN_REMSET(Arr, Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadAAStore_GenPreNull) {
-    FUSE_LOAD();
-    AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_ELIDED(Val.Ref);
-    BARRIER_GEN_REMSET(Arr, Val.Ref);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadAAStore_GenYoung) {
-    FUSE_LOAD();
-    AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_SATB();
-    BARRIER_GEN_YOUNG(Arr);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadAAStore_GenElided) {
-    FUSE_LOAD();
-    AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]);
-    BARRIER_ELIDED(Val.Ref);
-    BARRIER_GEN_YOUNG(Arr);
-    storeRefRelease(SlotP, Val.Ref);
-    NEXT2();
-  }
-  CASE(LoadAAStore_Spec) {
-    FUSE_LOAD();
-    AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]);
-    bool Deopt = false, Genuine = false;
-    SPEC_MARK_COMPONENT(IP[1]);
-    SPEC_REM_COMPONENT(IP[1], Arr);
-    storeRefRelease(SlotP, Val.Ref);
-    if (Deopt)
-      SPEC_DEOPT(2);
     NEXT2();
   }
   CASE(LoadStore) {

@@ -121,12 +121,13 @@ void Interpreter::refStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
   if (Pre == NullRef)
     ++SS.PreNull;
 
-  // In Generational mode an elided *marking* barrier still owes the
-  // remembered-set component below; every other mode is done after the
-  // marking decision.
-  const bool IsGen = CP.Options.Barrier == BarrierMode::Generational;
-
-  if (SS.ElideDecision) {
+  // The marking component, then (BarrierMode::Generational) the
+  // remembered-set component, each exactly as the site's plan says.
+  const BarrierPlan P = SS.Plan;
+  switch (P.Mark) {
+  case MarkPlan::None:
+    break;
+  case MarkPlan::Elided: {
     ++SS.Elided;
 #ifndef SATB_NO_JUSTIFICATION_CHECK
     // The Section 4.2 correctness check: an elided barrier must be
@@ -138,96 +139,85 @@ void Interpreter::refStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
                          : (Pre == NullRef);
     if (!Justified)
       ++SS.Violations;
-#else
-    (void)New;
 #endif
-    if (!IsGen)
-      return;
-  } else {
-    bool Kept = PC < CM.BarrierKept.size() && CM.BarrierKept[PC];
-    if (!Kept && !IsGen)
-      return; // BarrierMode::None
-
+    break;
+  }
+  case MarkPlan::Satb:
+  case MarkPlan::AlwaysLog:
     // Section 4.3 rearrangement protocol: while the array is inside an
     // active enter/exit bracket, the permutation store skips the log (the
     // genuinely overwritten element was logged at enter, and marker
     // overlap is detected at exit). If the bracket was missed — marking
-    // began mid-loop — fall through to the normal barrier. Generational
-    // mode never takes this path (the remembered set must still see the
-    // store; the rearrangement protocol is not composed with it).
-    if (Kept && PC < CM.RearrangeStores.size() && CM.RearrangeStores[PC] &&
-        CP.Options.Barrier != BarrierMode::CardMarking && !IsGen && Satb &&
-        Satb->isActive() && Satb->inActiveRearrange(Base)) {
+    // began mid-loop — fall through to the normal barrier.
+    if (P.Rearrange && Satb && Satb->isActive() &&
+        Satb->inActiveRearrange(Base)) {
       ++SS.Rearranged;
       BarrierCost += 1; // the in-bracket check; state reads are hoisted
       return;
     }
-
-    if (Kept)
-      switch (CP.Options.Barrier) {
-      case BarrierMode::None:
-        break;
-      case BarrierMode::Satb:
-      case BarrierMode::Generational:
-        // Inline: is marking in progress? (The generational marking
-        // component is exactly the SATB sequence.)
-        BarrierCost += 2;
-        if (Satb && Satb->isActive()) {
-          // Inline: load the pre-value, null test.
-          BarrierCost += 3;
-          if (Pre != NullRef) {
-            // Out-of-line: append to the thread-local log buffer.
-            BarrierCost += 6;
-            Satb->logPreValue(Pre);
-          }
-        }
-        break;
-      case BarrierMode::SatbAlwaysLog:
-        // The Section 4.5 future-work mode: no marking check, always log
-        // non-null pre-values.
+    if (P.Mark == MarkPlan::Satb) {
+      // Inline: is marking in progress? (The generational marking
+      // component is exactly the SATB sequence.)
+      BarrierCost += 2;
+      if (Satb && Satb->isActive()) {
+        // Inline: load the pre-value, null test.
         BarrierCost += 3;
         if (Pre != NullRef) {
+          // Out-of-line: append to the thread-local log buffer.
           BarrierCost += 6;
-          if (Satb)
-            Satb->logPreValue(Pre);
+          Satb->logPreValue(Pre);
         }
-        break;
-      case BarrierMode::CardMarking:
-        BarrierCost += 2;
-        if (Inc && Base != NullRef)
-          Inc->recordWrite(Base);
-        break;
       }
+    } else {
+      // The Section 4.5 future-work mode: no marking check, always log
+      // non-null pre-values.
+      BarrierCost += 3;
+      if (Pre != NullRef) {
+        BarrierCost += 6;
+        if (Satb)
+          Satb->logPreValue(Pre);
+      }
+    }
+    break;
+  case MarkPlan::Card:
+    BarrierCost += 2;
+    if (Inc && Base != NullRef)
+      Inc->recordWrite(Base);
+    break;
+  case MarkPlan::GuardNull:
+  case MarkPlan::GuardNullAlwaysLog:
+    assert(false && "guarded plans exist only in speculative translations");
+    break;
   }
 
-  // Generational remembered-set component. Statics never pay it (they are
-  // scanned as roots by every minor collection).
-  if (IsGen && Base != NullRef) {
-    if (SS.YoungDecision) {
-      ++SS.RemSetElided;
+  // Statics never pay the remembered-set component (they are scanned as
+  // roots by every minor collection).
+  if (Base == NullRef)
+    return;
+  if (P.Rem == RemPlan::Elided) {
+    ++SS.RemSetElided;
 #ifndef SATB_NO_JUSTIFICATION_CHECK
-      // A young-target elision is justified iff the base really is young
-      // (trivially so when the nursery is off: no old-to-young edges
-      // exist at all).
-      if (H.nurseryEnabled() && !H.isYoung(Base))
-        ++SS.RemSetViolations;
+    // A young-target elision is justified iff the base really is young
+    // (trivially so when the nursery is off: no old-to-young edges exist
+    // at all).
+    if (H.nurseryEnabled() && !H.isYoung(Base))
+      ++SS.RemSetViolations;
 #endif
-    } else {
-      BarrierCost += 2; // young-test the base
-      if (!H.isYoung(Base)) {
-        BarrierCost += 2; // null + young test the stored value
-        if (New != NullRef && H.isYoung(New)) {
-          BarrierCost += 2; // shift + dirty the card
-          ++SS.RemSetDirtied;
-          if (Gen)
-            Gen->recordOldToYoung(Base);
-        }
-      } else {
-        // Young-speculation profile: the barrier's own young test, kept
-        // as a counter. Both engines maintain it so per-site stats stay
-        // comparable.
-        ++SS.YoungSeen;
+  } else if (P.Rem == RemPlan::Kept) {
+    BarrierCost += 2; // young-test the base
+    if (!H.isYoung(Base)) {
+      BarrierCost += 2; // null + young test the stored value
+      if (New != NullRef && H.isYoung(New)) {
+        BarrierCost += 2; // shift + dirty the card
+        ++SS.RemSetDirtied;
+        if (Gen)
+          Gen->recordOldToYoung(Base);
       }
+    } else {
+      // Young-speculation profile: the barrier's own young test, kept as
+      // a counter. Both engines maintain it so per-site stats stay
+      // comparable.
+      ++SS.YoungSeen;
     }
   }
 }
@@ -250,9 +240,11 @@ void Interpreter::rangeStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
   if (AllPreNull)
     ++SS.PreNull;
 
-  const bool IsGen = CP.Options.Barrier == BarrierMode::Generational;
-
-  if (SS.ElideDecision) {
+  const BarrierPlan P = SS.Plan;
+  switch (P.Mark) {
+  case MarkPlan::None:
+    break;
+  case MarkPlan::Elided:
     ++SS.Elided;
 #ifndef SATB_NO_JUSTIFICATION_CHECK
     // Range elisions are only ever justified by the Section 3 null-range
@@ -260,71 +252,64 @@ void Interpreter::rangeStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
     if (!AllPreNull)
       ++SS.Violations;
 #endif
-    if (!IsGen)
-      return;
-  } else {
-    bool Kept = PC < CM.BarrierKept.size() && CM.BarrierKept[PC];
-    if (!Kept && !IsGen)
-      return; // BarrierMode::None
-    if (Kept)
-      switch (CP.Options.Barrier) {
-      case BarrierMode::None:
-        break;
-      case BarrierMode::Satb:
-      case BarrierMode::Generational:
-        BarrierCost += 2; // one marking-active check for the whole range
-        if (Satb && Satb->isActive()) {
-          BarrierCost += 3; // range-scan setup; per-slot checks amortize
-          for (size_t I = 0; I != N; ++I)
-            if (Pre[I] != NullRef) {
-              BarrierCost += 6;
-              Satb->logPreValue(Pre[I]);
-            }
+    break;
+  case MarkPlan::Satb:
+    BarrierCost += 2; // one marking-active check for the whole range
+    if (Satb && Satb->isActive()) {
+      BarrierCost += 3; // range-scan setup; per-slot checks amortize
+      for (size_t I = 0; I != N; ++I)
+        if (Pre[I] != NullRef) {
+          BarrierCost += 6;
+          Satb->logPreValue(Pre[I]);
         }
-        break;
-      case BarrierMode::SatbAlwaysLog:
-        BarrierCost += 3;
-        for (size_t I = 0; I != N; ++I)
-          if (Pre[I] != NullRef) {
-            BarrierCost += 6;
-            if (Satb)
-              Satb->logPreValue(Pre[I]);
-          }
-        break;
-      case BarrierMode::CardMarking:
-        // Cards are per-object here: one dirty covers the whole range.
-        BarrierCost += 2;
-        if (Inc && Base != NullRef)
-          Inc->recordWrite(Base);
-        break;
+    }
+    break;
+  case MarkPlan::AlwaysLog:
+    BarrierCost += 3;
+    for (size_t I = 0; I != N; ++I)
+      if (Pre[I] != NullRef) {
+        BarrierCost += 6;
+        if (Satb)
+          Satb->logPreValue(Pre[I]);
       }
+    break;
+  case MarkPlan::Card:
+    // Cards are per-object here: one dirty covers the whole range.
+    BarrierCost += 2;
+    if (Inc && Base != NullRef)
+      Inc->recordWrite(Base);
+    break;
+  case MarkPlan::GuardNull:
+  case MarkPlan::GuardNullAlwaysLog:
+    assert(false && "guarded plans exist only in speculative translations");
+    break;
   }
 
-  if (IsGen && Base != NullRef) {
-    if (SS.YoungDecision) {
-      ++SS.RemSetElided;
+  if (Base == NullRef)
+    return;
+  if (P.Rem == RemPlan::Elided) {
+    ++SS.RemSetElided;
 #ifndef SATB_NO_JUSTIFICATION_CHECK
-      if (H.nurseryEnabled() && !H.isYoung(Base))
-        ++SS.RemSetViolations;
+    if (H.nurseryEnabled() && !H.isYoung(Base))
+      ++SS.RemSetViolations;
 #endif
-    } else {
-      BarrierCost += 2; // young-test the base once
-      if (!H.isYoung(Base)) {
-        BarrierCost += 2; // one word-at-a-time null+young scan of the values
-        bool AnyYoung = false;
-        for (size_t I = 0; I != N && !AnyYoung; ++I) {
-          ObjRef V = NewVals[I * NewStride];
-          AnyYoung = V != NullRef && H.isYoung(V);
-        }
-        if (AnyYoung) {
-          BarrierCost += 2; // shift + dirty the card, once
-          ++SS.RemSetDirtied;
-          if (Gen)
-            Gen->recordOldToYoung(Base);
-        }
-      } else {
-        ++SS.YoungSeen;
+  } else if (P.Rem == RemPlan::Kept) {
+    BarrierCost += 2; // young-test the base once
+    if (!H.isYoung(Base)) {
+      BarrierCost += 2; // one word-at-a-time null+young scan of the values
+      bool AnyYoung = false;
+      for (size_t I = 0; I != N && !AnyYoung; ++I) {
+        ObjRef V = NewVals[I * NewStride];
+        AnyYoung = V != NullRef && H.isYoung(V);
       }
+      if (AnyYoung) {
+        BarrierCost += 2; // shift + dirty the card, once
+        ++SS.RemSetDirtied;
+        if (Gen)
+          Gen->recordOldToYoung(Base);
+      }
+    } else {
+      ++SS.YoungSeen;
     }
   }
 }

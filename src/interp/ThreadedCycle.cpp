@@ -175,6 +175,16 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     }
   };
 
+  // Every pause starts by publishing each mutator's pending TLAB counts,
+  // so what it reads (the pacer's counters) and frees is exact.
+  auto StopTheWorld = [&](auto &&Fn) {
+    SC.stopTheWorld([&] {
+      for (auto &E : Engines)
+        E->context().publishAllocations();
+      Fn();
+    });
+  };
+
   // Stop-the-world minor collection service: a mutator whose nursery
   // chunk refill failed raised the heap's request flag (and fell back to
   // old-space allocation, so it never blocks). Roots are every engine's
@@ -190,7 +200,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
       H.requestMinorGC();
     if (!H.minorGCRequested())
       return;
-    SC.stopTheWorld([&] {
+    StopTheWorld([&] {
       if (!H.minorGCRequested())
         return; // raced with a collection already served
       CollectRoots();
@@ -259,6 +269,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
       // coordinator is still waiting on this thread's headcount, so the
       // flush cannot race a stop-the-world flush of the same context.
       E.context().flush();
+      E.context().publishAllocations();
       SC.markExited();
     });
   }
@@ -271,7 +282,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
   ReachabilityOracle Oracle;
   R.OracleHolds = true;
   auto BeginPause = [&] {
-    SC.stopTheWorld([&] {
+    StopTheWorld([&] {
       CollectRoots();
       if (UseSatb) {
         R.OracleLive += Oracle.capture(H, Roots);
@@ -284,7 +295,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
   // Final STW: flush every context, terminate marking, check the oracle
   // and sweep — all inside the pause.
   auto FinishPause = [&] {
-    SC.stopTheWorld([&] {
+    StopTheWorld([&] {
       for (auto &E : Engines)
         E->context().flush();
       if (UseSatb) {

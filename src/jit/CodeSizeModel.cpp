@@ -78,14 +78,37 @@ uint32_t CodeSizeModel::instrCost(const Instruction &I) {
   return 1;
 }
 
+uint32_t CodeSizeModel::barrierCost(const Instruction &I, BarrierPlan P) {
+  uint32_t Cost = 0;
+  switch (P.Mark) {
+  case MarkPlan::Satb:
+  case MarkPlan::GuardNull:
+    Cost = SatbBarrierCost;
+    break;
+  case MarkPlan::AlwaysLog:
+  case MarkPlan::GuardNullAlwaysLog:
+    Cost = SatbBarrierCost - 2; // no marking check
+    break;
+  case MarkPlan::Card:
+    Cost = CardBarrierCost;
+    break;
+  case MarkPlan::None:
+  case MarkPlan::Elided:
+    break;
+  }
+  if ((P.Rem == RemPlan::Kept || P.Rem == RemPlan::GuardYoung) &&
+      I.Op != Opcode::PutStatic)
+    Cost += GenRemSetCost;
+  return Cost;
+}
+
 uint32_t CodeSizeModel::bodyCost(const std::vector<Instruction> &Code,
-                                 const std::vector<bool> &BarrierKept,
-                                 uint32_t BarrierCost) {
+                                 const std::vector<BarrierPlan> &Plans) {
   uint32_t Total = 0;
   for (size_t I = 0, E = Code.size(); I != E; ++I) {
     Total += instrCost(Code[I]);
-    if (I < BarrierKept.size() && BarrierKept[I])
-      Total += BarrierCost;
+    if (I < Plans.size())
+      Total += barrierCost(Code[I], Plans[I]);
   }
   return Total;
 }

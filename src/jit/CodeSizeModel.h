@@ -14,6 +14,7 @@
 #define SATB_JIT_CODESIZEMODEL_H
 
 #include "bytecode/Program.h"
+#include "jit/BarrierPlan.h"
 
 namespace satb {
 
@@ -35,12 +36,16 @@ struct CodeSizeModel {
   /// excluding any write barrier.
   static uint32_t instrCost(const Instruction &I);
 
-  /// \returns the modeled size of a whole body given per-site barrier
-  /// placement. \p BarrierCost is added for each instruction index in
-  /// \p BarrierKept.
+  /// \returns the modeled instruction count of the barrier \p P planned
+  /// at \p I: the marking component's sequence plus, at a heap store,
+  /// the remembered-set component (statics are roots, not remembered-set
+  /// clients).
+  static uint32_t barrierCost(const Instruction &I, BarrierPlan P);
+
+  /// \returns the modeled size of a whole body given per-instruction
+  /// barrier plans (\p Plans may be shorter than \p Code).
   static uint32_t bodyCost(const std::vector<Instruction> &Code,
-                           const std::vector<bool> &BarrierKept,
-                           uint32_t BarrierCost);
+                           const std::vector<BarrierPlan> &Plans);
 };
 
 } // namespace satb

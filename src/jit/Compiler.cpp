@@ -13,6 +13,21 @@
 
 using namespace satb;
 
+BarrierPlan satb::planFor(const CompilerOptions &Opts,
+                          const BarrierDecision &D, bool ProtocolStore) {
+  BarrierPlan P;
+  P.Mark = Opts.ApplyElision && D.Elide ? MarkPlan::Elided
+                                        : BarrierPlan::keptMark(Opts.Barrier);
+  if (Opts.Barrier == BarrierMode::Generational)
+    P.Rem = Opts.ApplyElision && D.TargetYoung ? RemPlan::Elided
+                                               : RemPlan::Kept;
+  // The protocol replaces an SATB log; card marking and the generational
+  // barrier (whose remembered set must still see every store) ignore it.
+  P.Rearrange = ProtocolStore && (Opts.Barrier == BarrierMode::Satb ||
+                                  Opts.Barrier == BarrierMode::SatbAlwaysLog);
+  return P;
+}
+
 CompiledMethod satb::compileMethod(const Program &P, MethodId Id,
                                    const CompilerOptions &Opts) {
   Stopwatch Timer;
@@ -20,10 +35,11 @@ CompiledMethod satb::compileMethod(const Program &P, MethodId Id,
   CM.Id = Id;
   CM.Body = inlineMethod(P, P.method(Id), Opts.Inline, &CM.Inlining, Id);
 
+  std::vector<bool> ProtocolStores;
   if (Opts.EnableArrayRearrange) {
     RearrangeResult RR = recognizeMoveDownLoops(CM.Body);
     CM.Body = std::move(RR.Transformed);
-    CM.RearrangeStores = std::move(RR.ProtocolStores);
+    ProtocolStores = std::move(RR.ProtocolStores);
     CM.RearrangeLoops = RR.LoopsTransformed;
   }
 
@@ -38,56 +54,20 @@ CompiledMethod satb::compileMethod(const Program &P, MethodId Id,
 
   CM.Analysis = analyzeBarriers(P, CM.Body, Opts.Analysis);
 
-  const bool NoBarriers = Opts.Barrier == BarrierMode::None;
-  CM.BarrierKept.assign(CM.Body.Instructions.size(), false);
-  std::vector<bool> AllKept(CM.Body.Instructions.size(), false);
-  for (size_t I = 0, E = CM.Body.Instructions.size(); I != E; ++I) {
+  const size_t N = CM.Body.Instructions.size();
+  CM.Plans.assign(N, BarrierPlan{});
+  std::vector<BarrierPlan> AllKept(N);
+  for (size_t I = 0; I != N; ++I) {
     const BarrierDecision &D = CM.Analysis.Decisions[I];
     if (!D.IsBarrierSite)
       continue;
-    AllKept[I] = !NoBarriers;
-    CM.BarrierKept[I] =
-        !NoBarriers && !(Opts.ApplyElision && D.Elide);
+    CM.Plans[I] = planFor(Opts, D, I < ProtocolStores.size() &&
+                                       ProtocolStores[I]);
+    AllKept[I] = CM.Plans[I].kept(Opts.Barrier);
   }
-
-  uint32_t BarrierCost = 0;
-  switch (Opts.Barrier) {
-  case BarrierMode::None:
-    break;
-  case BarrierMode::Satb:
-    BarrierCost = CodeSizeModel::SatbBarrierCost;
-    break;
-  case BarrierMode::SatbAlwaysLog:
-    BarrierCost = CodeSizeModel::SatbBarrierCost - 2; // no marking check
-    break;
-  case BarrierMode::CardMarking:
-    BarrierCost = CodeSizeModel::CardBarrierCost;
-    break;
-  case BarrierMode::Generational:
-    BarrierCost = CodeSizeModel::SatbBarrierCost; // marking component
-    break;
-  }
-  CM.CodeSize =
-      CodeSizeModel::bodyCost(CM.Body.Instructions, CM.BarrierKept,
-                              BarrierCost);
+  CM.CodeSize = CodeSizeModel::bodyCost(CM.Body.Instructions, CM.Plans);
   CM.CodeSizeNoElision =
-      CodeSizeModel::bodyCost(CM.Body.Instructions, AllKept, BarrierCost);
-  if (Opts.Barrier == BarrierMode::Generational) {
-    // The remembered-set component prices separately: every heap store
-    // site carries it (statics are roots, not remembered-set clients)
-    // unless the young-target proof removes it.
-    for (size_t I = 0, E = CM.Body.Instructions.size(); I != E; ++I) {
-      const BarrierDecision &D = CM.Analysis.Decisions[I];
-      if (!D.IsBarrierSite ||
-          CM.Body.Instructions[I].Op == Opcode::PutStatic)
-        continue;
-      CM.CodeSizeNoElision += CodeSizeModel::GenRemSetCost;
-      if (!(Opts.ApplyElision && D.TargetYoung))
-        CM.CodeSize += CodeSizeModel::GenRemSetCost;
-    }
-  }
-  if (CM.RearrangeStores.empty())
-    CM.RearrangeStores.assign(CM.Body.Instructions.size(), false);
+      CodeSizeModel::bodyCost(CM.Body.Instructions, AllKept);
   CM.CompileTimeUs = Timer.elapsedUs();
   return CM;
 }

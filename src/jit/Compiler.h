@@ -4,7 +4,7 @@
 /// The stand-in for the HotSpot client ("C1") JIT the paper modified:
 /// inline -> verify -> analyze -> size. Each method of a program is
 /// compiled to a CompiledMethod carrying its expanded body, per-site
-/// barrier decisions, and a modeled code size; the interpreter executes
+/// barrier plans, and a modeled code size; the interpreter executes
 /// CompiledMethods and fires barriers per the recorded decisions.
 ///
 //===----------------------------------------------------------------------===//
@@ -14,23 +14,10 @@
 
 #include "analysis/BarrierAnalysis.h"
 #include "inliner/Inliner.h"
+#include "jit/BarrierPlan.h"
 #include "jit/CodeSizeModel.h"
 
 namespace satb {
-
-/// Which write barrier flavor the generated code carries at kept sites.
-enum class BarrierMode : uint8_t {
-  None,          ///< Table 2 "no-barrier": every barrier removed
-  Satb,          ///< standard SATB: check marking, log non-null pre-values
-  SatbAlwaysLog, ///< Table 2 "always-log": skip the marking check
-  CardMarking,   ///< incremental-update comparison collector
-  /// Generational heap: the SATB marking barrier composed with the
-  /// old-to-young remembered-set barrier. Pre-null elision removes the
-  /// marking component, the young-target proof (BarrierDecision::
-  /// TargetYoung) removes the remembered-set component; the two compose
-  /// independently into four store variants (see jit/FastCode.h).
-  Generational
-};
 
 /// Which execution engine runs the compiled program: the reference
 /// switch-dispatch Interpreter or the pre-decoded threaded-dispatch
@@ -64,13 +51,9 @@ struct CompiledMethod {
   Method Body; ///< post-inlining body actually executed
   AnalysisResult Analysis;
   InlineStats Inlining;
-  /// Per-instruction: a barrier must be executed at this store. Empty in
-  /// BarrierMode::None.
-  std::vector<bool> BarrierKept;
-  /// Per-instruction: this aastore uses the Section 4.3 rearrangement
-  /// protocol (skips the SATB log while its array is in an active
-  /// rearrangement). Set only with EnableArrayRearrange.
-  std::vector<bool> RearrangeStores;
+  /// Per-instruction barrier plan: the site's whole barrier verdict
+  /// (jit/BarrierPlan.h). Default (no barrier) at non-site PCs.
+  std::vector<BarrierPlan> Plans;
   uint32_t RearrangeLoops = 0;
   uint32_t CodeSize = 0;
   uint32_t CodeSizeNoElision = 0; ///< same body, every barrier kept
@@ -99,6 +82,13 @@ struct CompiledProgram {
   /// fast-interpreter translation.
   std::vector<uint32_t> instrOffsets() const;
 };
+
+/// The one place a store site's barrier verdict is decided: the plan for
+/// a barrier site with analysis verdict \p D under \p Opts (BarrierMode,
+/// ApplyElision); \p ProtocolStore marks a Section 4.3 rearrangement
+/// store.
+BarrierPlan planFor(const CompilerOptions &Opts, const BarrierDecision &D,
+                    bool ProtocolStore);
 
 /// Compiles one method. \p M must be a member of \p P (given by id).
 /// Asserts that the expanded body verifies; the analyses assume verified

@@ -9,7 +9,7 @@
 ///  - field accesses carry their payload slot index and owner class
 ///    (no FieldDecl / FieldSlot lookups at run time),
 ///  - every reference-store site is lowered to a *barrier-specialized*
-///    opcode baking in the compiler's per-site verdict — an elided store
+///    opcode baking in the compiler's per-site BarrierPlan — an elided store
 ///    executes zero barrier instructions, a kept store executes exactly
 ///    its BarrierMode's sequence, with no per-execution decision tree,
 ///  - each store site carries its flat BarrierStats index
@@ -32,9 +32,48 @@
 
 namespace satb {
 
+/// The store kinds: each reference-store bytecode, plus the fused
+/// local-load + store pairs (the second slot holds the original store).
+enum class StoreKind : uint8_t {
+  PutFieldRef,
+  PutStaticRef,
+  AAStore,
+  ArrayFill,
+  ArrayCopy,
+  LoadPutFieldRef,
+  LoadAAStore,
+};
+
+/// The valid barrier plans per store kind, as S(Kind, Name, Mark, Rem,
+/// Rearrange) rows: the opcode Kind_Name executes exactly the plan
+/// {MarkPlan::Mark, RemPlan::Rem, Rearrange}. A kind lists only the plans
+/// it can be given — the rearrangement protocol marks aastores alone, and
+/// its bracket check stays unfused — so no row is a dead handler. The Spec
+/// row stands for every guarded plan: its handler reads the site's plan
+/// from FastInst::C.
+#define SATB_PLANS_CLASSIC(S, K)                                               \
+  S(K, Elided, Elided, None, 0)                                                \
+  S(K, NoBarrier, None, None, 0)                                               \
+  S(K, Satb, Satb, None, 0)                                                    \
+  S(K, AlwaysLog, AlwaysLog, None, 0)                                          \
+  S(K, Card, Card, None, 0)
+#define SATB_PLANS_REARR(S, K)                                                 \
+  S(K, Rearr_Satb, Satb, None, 1)                                              \
+  S(K, Rearr_AlwaysLog, AlwaysLog, None, 1)
+#define SATB_PLANS_GEN(S, K)                                                   \
+  S(K, Gen, Satb, Kept, 0)                                                     \
+  S(K, GenPreNull, Elided, Kept, 0)                                            \
+  S(K, GenYoung, Satb, Elided, 0)                                              \
+  S(K, GenElided, Elided, Elided, 0)
+#define SATB_PLANS_SPEC(S, K) S(K, Spec, GuardNull, GuardYoung, 0)
+#define SATB_PLANS_BULK(S, K)                                                  \
+  SATB_PLANS_CLASSIC(S, K) SATB_PLANS_GEN(S, K) SATB_PLANS_SPEC(S, K)
+
 /// The specialized opcode set, as an X-macro so the dispatch label table
-/// in FastInterp.cpp can never fall out of sync with the enum.
-#define SATB_FAST_BASE_OPS(X)                                                  \
+/// in FastInterp.cpp can never fall out of sync with the enum: X(Name)
+/// for a plain op, S(...) for a store kind x plan row. The order is the
+/// enum order (isFusedOp and the branch/comparison ranges rely on it).
+#define SATB_FAST_BASE_OPS(X, S)                                               \
   X(IConst)                                                                    \
   X(AConstNull)                                                                \
   X(Load)                                                                      \
@@ -52,19 +91,11 @@ namespace satb {
   X(GetFieldRef)                                                               \
   X(GetFieldInt)                                                               \
   X(PutFieldInt)                                                               \
-  X(PutFieldRef_Elided)                                                        \
-  X(PutFieldRef_NoBarrier)                                                     \
-  X(PutFieldRef_Satb)                                                          \
-  X(PutFieldRef_AlwaysLog)                                                     \
-  X(PutFieldRef_Card)                                                          \
+  SATB_PLANS_CLASSIC(S, PutFieldRef)                                           \
   X(GetStaticRef)                                                              \
   X(GetStaticInt)                                                              \
   X(PutStaticInt)                                                              \
-  X(PutStaticRef_Elided)                                                       \
-  X(PutStaticRef_NoBarrier)                                                    \
-  X(PutStaticRef_Satb)                                                         \
-  X(PutStaticRef_AlwaysLog)                                                    \
-  X(PutStaticRef_Card)                                                         \
+  SATB_PLANS_CLASSIC(S, PutStaticRef)                                          \
   X(NewInstance)                                                               \
   X(NewRefArray)                                                               \
   X(NewIntArray)                                                               \
@@ -72,13 +103,8 @@ namespace satb {
   X(IALoad)                                                                    \
   X(IAStore)                                                                   \
   X(ArrayLength)                                                               \
-  X(AAStore_Elided)                                                            \
-  X(AAStore_NoBarrier)                                                         \
-  X(AAStore_Satb)                                                              \
-  X(AAStore_AlwaysLog)                                                         \
-  X(AAStore_Card)                                                              \
-  X(AAStore_Rearr_Satb)                                                        \
-  X(AAStore_Rearr_AlwaysLog)                                                   \
+  SATB_PLANS_CLASSIC(S, AAStore)                                               \
+  SATB_PLANS_REARR(S, AAStore)                                                 \
   X(Invoke)                                                                    \
   X(Goto)                                                                      \
   X(IfEq)                                                                      \
@@ -104,38 +130,15 @@ namespace satb {
   X(RearrangeEnterDyn)                                                         \
   X(RearrangeExit)                                                             \
   X(Safepoint)                                                                 \
-  X(PutFieldRef_Gen)                                                           \
-  X(PutFieldRef_GenPreNull)                                                    \
-  X(PutFieldRef_GenYoung)                                                      \
-  X(PutFieldRef_GenElided)                                                     \
-  X(AAStore_Gen)                                                               \
-  X(AAStore_GenPreNull)                                                        \
-  X(AAStore_GenYoung)                                                          \
-  X(AAStore_GenElided)                                                         \
-  X(PutStaticRef_Gen)                                                          \
-  X(PutFieldRef_Spec)                                                          \
-  X(PutStaticRef_Spec)                                                         \
-  X(AAStore_Spec)                                                              \
-  X(ArrayFill_Elided)                                                          \
-  X(ArrayFill_NoBarrier)                                                       \
-  X(ArrayFill_Satb)                                                            \
-  X(ArrayFill_AlwaysLog)                                                       \
-  X(ArrayFill_Card)                                                            \
-  X(ArrayFill_Gen)                                                             \
-  X(ArrayFill_GenPreNull)                                                      \
-  X(ArrayFill_GenYoung)                                                        \
-  X(ArrayFill_GenElided)                                                       \
-  X(ArrayFill_Spec)                                                            \
-  X(ArrayCopy_Elided)                                                          \
-  X(ArrayCopy_NoBarrier)                                                       \
-  X(ArrayCopy_Satb)                                                            \
-  X(ArrayCopy_AlwaysLog)                                                       \
-  X(ArrayCopy_Card)                                                            \
-  X(ArrayCopy_Gen)                                                             \
-  X(ArrayCopy_GenPreNull)                                                      \
-  X(ArrayCopy_GenYoung)                                                        \
-  X(ArrayCopy_GenElided)                                                       \
-  X(ArrayCopy_Spec)
+  SATB_PLANS_GEN(S, PutFieldRef)                                               \
+  SATB_PLANS_GEN(S, AAStore)                                                   \
+  /* a static's remembered-set component is its root scan: no code */         \
+  S(PutStaticRef, Gen, Satb, Kept, 0)                                          \
+  SATB_PLANS_SPEC(S, PutFieldRef)                                              \
+  SATB_PLANS_SPEC(S, PutStaticRef)                                             \
+  SATB_PLANS_SPEC(S, AAStore)                                                  \
+  SATB_PLANS_BULK(S, ArrayFill)                                                \
+  SATB_PLANS_BULK(S, ArrayCopy)
 
 /// Fused superinstructions (translation-time peephole, DESIGN.md
 /// "Superinstructions"). A fused op replaces the *opcode of the first
@@ -151,23 +154,15 @@ namespace satb {
 /// the field read it feeds. The pair set is profile-driven: see
 /// tools/dispatch_profile.cpp for the dynamic pair counts that justify
 /// it, and fusedOp() in FastTranslate.cpp for the selection table.
-#define SATB_FAST_FUSED_OPS(X)                                                 \
+#define SATB_FAST_FUSED_OPS(X, S)                                              \
   X(LoadGetFieldRef)                                                           \
   X(LoadGetFieldInt)                                                           \
   X(LoadPutFieldInt)                                                           \
-  X(LoadPutFieldRef_Elided)                                                    \
-  X(LoadPutFieldRef_NoBarrier)                                                 \
-  X(LoadPutFieldRef_Satb)                                                      \
-  X(LoadPutFieldRef_AlwaysLog)                                                 \
-  X(LoadPutFieldRef_Card)                                                      \
+  SATB_PLANS_CLASSIC(S, LoadPutFieldRef)                                       \
   X(LoadAALoad)                                                                \
   X(LoadIALoad)                                                                \
   X(LoadIAStore)                                                               \
-  X(LoadAAStore_Elided)                                                        \
-  X(LoadAAStore_NoBarrier)                                                     \
-  X(LoadAAStore_Satb)                                                          \
-  X(LoadAAStore_AlwaysLog)                                                     \
-  X(LoadAAStore_Card)                                                          \
+  SATB_PLANS_CLASSIC(S, LoadAAStore)                                           \
   X(LoadStore)                                                                 \
   X(LoadIAdd)                                                                  \
   X(LoadISub)                                                                  \
@@ -210,32 +205,34 @@ namespace satb {
   X(IMulPop)                                                                   \
   X(IAddIConst)                                                                \
   X(IMulIConst)                                                                \
-  X(LoadPutFieldRef_Gen)                                                       \
-  X(LoadPutFieldRef_GenPreNull)                                                \
-  X(LoadPutFieldRef_GenYoung)                                                  \
-  X(LoadPutFieldRef_GenElided)                                                 \
-  X(LoadAAStore_Gen)                                                           \
-  X(LoadAAStore_GenPreNull)                                                    \
-  X(LoadAAStore_GenYoung)                                                      \
-  X(LoadAAStore_GenElided)                                                     \
-  X(LoadPutFieldRef_Spec)                                                      \
-  X(LoadAAStore_Spec)
+  SATB_PLANS_GEN(S, LoadPutFieldRef)                                           \
+  SATB_PLANS_GEN(S, LoadAAStore)                                               \
+  SATB_PLANS_SPEC(S, LoadPutFieldRef)                                          \
+  SATB_PLANS_SPEC(S, LoadAAStore)
 
 /// The full dispatch set: base ops first, fused ops appended (isFusedOp
 /// relies on the ordering).
-#define SATB_FAST_OPS(X)                                                       \
-  SATB_FAST_BASE_OPS(X)                                                        \
-  SATB_FAST_FUSED_OPS(X)
+#define SATB_FAST_OPS(X, S)                                                    \
+  SATB_FAST_BASE_OPS(X, S)                                                     \
+  SATB_FAST_FUSED_OPS(X, S)
+
+/// Every store kind x plan row alone, in enum order.
+#define SATB_FAST_IGNORE_OP(name)
+#define SATB_FAST_STORE_OPS(S) SATB_FAST_OPS(SATB_FAST_IGNORE_OP, S)
 
 enum class FastOp : uint16_t {
 #define X(name) name,
-  SATB_FAST_OPS(X)
+#define S(K, Name, M, R, Rr) K##_##Name,
+  SATB_FAST_OPS(X, S)
+#undef S
 #undef X
 };
 
 constexpr unsigned kNumFastOps = 0
 #define X(name) +1
-    SATB_FAST_OPS(X)
+#define S(...) +1
+    SATB_FAST_OPS(X, S)
+#undef S
 #undef X
     ;
 
@@ -244,25 +241,30 @@ inline bool isFusedOp(FastOp Op) {
   return Op >= FastOp::LoadGetFieldRef;
 }
 
+/// The row a store opcode was generated from.
+struct StoreOpInfo {
+  StoreKind Kind;
+  BarrierPlan Plan; ///< the Spec row's plan is {GuardNull, GuardYoung}
+};
+
+/// The store kind and plan behind \p Op, or std::nullopt for a non-store
+/// opcode.
+std::optional<StoreOpInfo> storeOpInfo(FastOp Op);
+
+/// The opcode executing plan \p P at a store of kind \p K, or
+/// std::nullopt if the kind has no such row (e.g. a fused rearranged
+/// store). Components the kind's handlers cannot express are dropped
+/// first: a non-SATB mark's rearrangement bit, and a static's
+/// remembered-set component once its marking barrier is elided (the
+/// static then runs the plain Elided body).
+std::optional<FastOp> findStoreOp(StoreKind K, BarrierPlan P);
+
+/// findStoreOp for a plan the compiler produced — every such plan has a
+/// row at the plain store kinds.
+FastOp opFor(StoreKind K, BarrierPlan P);
+
 /// Opcode name for profile dumps and diagnostics.
 const char *fastOpName(FastOp Op);
-
-/// Speculative store sites (the *_Spec opcodes) describe their barrier
-/// composition in FastInst::C — unused at every other store site — so one
-/// handler covers all guard/static/kept combinations per component. The
-/// marking component carries exactly one of {SpecMarkNull,
-/// SpecMarkStaticElided, SpecMarkKept}; under BarrierMode::Generational
-/// the remembered-set component carries at most one of {SpecRemYoung,
-/// SpecRemStaticElided, SpecRemKept}.
-enum : uint16_t {
-  kSpecMarkNull = 1u << 0,         ///< guard Pre == null, skip marking barrier
-  kSpecMarkStaticElided = 1u << 1, ///< Section 3 proof already removed it
-  kSpecMarkKept = 1u << 2,         ///< full conservative marking barrier
-  kSpecRemYoung = 1u << 3,         ///< guard isYoung(Base), skip remset barrier
-  kSpecRemStaticElided = 1u << 4,  ///< TargetYoung proof already removed it
-  kSpecRemKept = 1u << 5,          ///< full remembered-set barrier
-  kSpecAlwaysLog = 1u << 6,        ///< marking flavor is SatbAlwaysLog
-};
 
 /// The fusion selection table: the superinstruction for an adjacent
 /// (First, Second) pair, or std::nullopt if the pair is not fused.
@@ -352,6 +354,17 @@ struct TranslateOptions {
   static bool fusionDefault();
 };
 
+/// The plan a store site with compiled plan \p Static executes in \p Tier:
+/// Static itself; for Baseline (the profiling tier) with its elided
+/// components kept — a conservative barrier at a proven-pre-null site
+/// logs nothing, so only BarrierCost and the Elided bookkeeping differ;
+/// for Speculative with the requested guards added. A guard is honored
+/// only for a component the static plan keeps (BarrierPlan::canGuard*):
+/// guarding a statically removed one would be a strict regression.
+BarrierPlan tierPlan(BarrierPlan Static, BarrierMode Mode,
+                     TranslationTier Tier, bool GuardNull, bool GuardYoung,
+                     bool IsStatic);
+
 /// Lowers \p CP (compiled from \p P) into the specialized stream. Field
 /// layout comes from computeFieldLayout(P) — the same function the Heap
 /// uses — so baked slot indices can never disagree with the heap.
@@ -364,15 +377,6 @@ FastProgram translateProgram(const Program &P, const CompiledProgram &CP,
 /// numbering for every tier).
 FastMethod translateMethod(const Program &P, const CompiledProgram &CP,
                            MethodId M, const TranslateOptions &Opts);
-
-/// The static tier's verdict for the barrier site at \p PC of method
-/// \p M, recomputed from the compiled decisions: which of the two
-/// barrier components the Static translation *keeps* (and speculation
-/// could therefore remove), and whether the site is eligible for
-/// speculation at all (rearranged and card-marking sites are not).
-/// Returns false for non-barrier-site PCs.
-bool siteComponentsKept(const CompiledProgram &CP, MethodId M, uint32_t PC,
-                        bool &MarkKept, bool &RemKept, bool &Speculable);
 
 } // namespace satb
 

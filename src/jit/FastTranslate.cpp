@@ -14,10 +14,63 @@ const char *satb::fastOpName(FastOp Op) {
 #define X(name)                                                                \
   case FastOp::name:                                                           \
     return #name;
-    SATB_FAST_OPS(X)
+#define S(K, Name, M, R, Rr)                                                   \
+  case FastOp::K##_##Name:                                                     \
+    return #K "_" #Name;
+    SATB_FAST_OPS(X, S)
+#undef S
 #undef X
   }
   return "<unknown>";
+}
+
+std::optional<StoreOpInfo> satb::storeOpInfo(FastOp Op) {
+  switch (Op) {
+#define S(K, Name, M, R, Rr)                                                   \
+  case FastOp::K##_##Name:                                                     \
+    return StoreOpInfo{StoreKind::K, {MarkPlan::M, RemPlan::R, Rr != 0}};
+    SATB_FAST_STORE_OPS(S)
+#undef S
+  default:
+    return std::nullopt;
+  }
+}
+
+std::optional<FastOp> satb::findStoreOp(StoreKind K, BarrierPlan P) {
+  if (P.guarded())
+    P = BarrierPlan{MarkPlan::GuardNull, RemPlan::GuardYoung};
+  P.Rearrange = P.rearranged();
+  if (K == StoreKind::PutStaticRef && P.Mark == MarkPlan::Elided)
+    P.Rem = RemPlan::None;
+#define S(K_, Name, M, R, Rr)                                                  \
+  if (K == StoreKind::K_ &&                                                    \
+      P == BarrierPlan{MarkPlan::M, RemPlan::R, Rr != 0})                      \
+    return FastOp::K_##_##Name;
+  SATB_FAST_STORE_OPS(S)
+#undef S
+  return std::nullopt;
+}
+
+BarrierPlan satb::tierPlan(BarrierPlan Static, BarrierMode Mode,
+                           TranslationTier Tier, bool GuardNull,
+                           bool GuardYoung, bool IsStatic) {
+  if (Tier == TranslationTier::Baseline)
+    return Static.kept(Mode);
+  if (Tier != TranslationTier::Speculative)
+    return Static;
+  BarrierPlan P = Static;
+  if (GuardNull && Static.canGuardNull())
+    P.Mark = Static.Mark == MarkPlan::AlwaysLog ? MarkPlan::GuardNullAlwaysLog
+                                                : MarkPlan::GuardNull;
+  if (GuardYoung && Static.canGuardYoung(IsStatic))
+    P.Rem = RemPlan::GuardYoung;
+  return P;
+}
+
+FastOp satb::opFor(StoreKind K, BarrierPlan P) {
+  std::optional<FastOp> Op = findStoreOp(K, P);
+  assert(Op && "compiled plan without a store opcode");
+  return *Op;
 }
 
 bool TranslateOptions::fusionDefault() {
@@ -55,54 +108,12 @@ std::optional<FastOp> satb::fusedOp(FastOp First, FastOp Second) {
       return FastOp::LoadGetFieldInt;
     case FastOp::PutFieldInt:
       return FastOp::LoadPutFieldInt;
-    case FastOp::PutFieldRef_Elided:
-      return FastOp::LoadPutFieldRef_Elided;
-    case FastOp::PutFieldRef_NoBarrier:
-      return FastOp::LoadPutFieldRef_NoBarrier;
-    case FastOp::PutFieldRef_Satb:
-      return FastOp::LoadPutFieldRef_Satb;
-    case FastOp::PutFieldRef_AlwaysLog:
-      return FastOp::LoadPutFieldRef_AlwaysLog;
-    case FastOp::PutFieldRef_Card:
-      return FastOp::LoadPutFieldRef_Card;
     case FastOp::AALoad:
       return FastOp::LoadAALoad;
     case FastOp::IALoad:
       return FastOp::LoadIALoad;
     case FastOp::IAStore:
       return FastOp::LoadIAStore;
-    case FastOp::AAStore_Elided:
-      return FastOp::LoadAAStore_Elided;
-    case FastOp::AAStore_NoBarrier:
-      return FastOp::LoadAAStore_NoBarrier;
-    case FastOp::AAStore_Satb:
-      return FastOp::LoadAAStore_Satb;
-    case FastOp::AAStore_AlwaysLog:
-      return FastOp::LoadAAStore_AlwaysLog;
-    case FastOp::AAStore_Card:
-      return FastOp::LoadAAStore_Card;
-    case FastOp::PutFieldRef_Gen:
-      return FastOp::LoadPutFieldRef_Gen;
-    case FastOp::PutFieldRef_GenPreNull:
-      return FastOp::LoadPutFieldRef_GenPreNull;
-    case FastOp::PutFieldRef_GenYoung:
-      return FastOp::LoadPutFieldRef_GenYoung;
-    case FastOp::PutFieldRef_GenElided:
-      return FastOp::LoadPutFieldRef_GenElided;
-    case FastOp::AAStore_Gen:
-      return FastOp::LoadAAStore_Gen;
-    case FastOp::AAStore_GenPreNull:
-      return FastOp::LoadAAStore_GenPreNull;
-    case FastOp::AAStore_GenYoung:
-      return FastOp::LoadAAStore_GenYoung;
-    case FastOp::AAStore_GenElided:
-      return FastOp::LoadAAStore_GenElided;
-    case FastOp::PutFieldRef_Spec:
-      return FastOp::LoadPutFieldRef_Spec;
-    case FastOp::AAStore_Spec:
-      return FastOp::LoadAAStore_Spec;
-      // AAStore_Rearr_* stay unfused: the rearrangement bracket check is
-      // cold and its active-set bookkeeping is easiest audited unfused.
     case FastOp::Store:
       return FastOp::LoadStore;
     case FastOp::Load:
@@ -120,6 +131,16 @@ std::optional<FastOp> satb::fusedOp(FastOp First, FastOp Second) {
     case FastOp::IfNonNull:
       return FastOp::LoadIfNonNull;
     default:
+      // A local load feeding a field or array store fuses into the same
+      // plan's Load* row, where one exists (rearranged stores stay
+      // unfused: the bracket check is cold and easiest audited alone).
+      if (std::optional<StoreOpInfo> SI = storeOpInfo(Second)) {
+        if (SI->Kind == StoreKind::PutFieldRef)
+          return findStoreOp(StoreKind::LoadPutFieldRef, SI->Plan);
+        if (SI->Kind == StoreKind::AAStore)
+          return findStoreOp(StoreKind::LoadAAStore, SI->Plan);
+        return std::nullopt;
+      }
       if (Second >= FastOp::IfEq && Second <= FastOp::IfLe)
         return At(FastOp::LoadIfEq, Off(Second, FastOp::IfEq));
       if (Second >= FastOp::IfICmpEq && Second <= FastOp::IfICmpLe)
@@ -183,265 +204,6 @@ std::optional<FastOp> satb::fusedOp(FastOp First, FastOp Second) {
 }
 
 namespace {
-
-/// Which specialized body a reference-store site gets. Mirrors the
-/// decision order of Interpreter::refStoreBarrier, evaluated once here
-/// instead of per execution.
-enum class StoreVariant {
-  Elided,
-  NoBarrier,
-  Satb,
-  AlwaysLog,
-  Card,
-  RearrSatb,
-  RearrAlwaysLog,
-  // BarrierMode::Generational: the SATB marking component and the
-  // old-to-young remembered-set component are independently removable,
-  // giving a 2x2 matrix of specialized bodies.
-  Gen,          ///< both components kept
-  GenPreNull,   ///< Section 3 pre-null proof removed the marking log
-  GenYoung,     ///< young-target proof removed the remset barrier
-  GenElided     ///< both proofs held: zero barrier instructions
-};
-
-StoreVariant storeVariant(const CompiledProgram &CP, const CompiledMethod &CM,
-                          uint32_t PC,
-                          TranslationTier Tier = TranslationTier::Static) {
-  const BarrierDecision &D = CM.Analysis.Decisions[PC];
-  assert(D.IsBarrierSite && "specializing a non-store site");
-  // The Baseline tier is the profiling tier: it keeps every barrier the
-  // mode prescribes, ignoring the static elision proof (but not the
-  // rearrangement protocol, which is a logging *protocol*, not an
-  // elision — dropping it would change what gets logged). A conservative
-  // barrier at a proven-pre-null site logs nothing, so Baseline is
-  // observably identical to Static everywhere but BarrierCost and the
-  // Elided/RemSetElided bookkeeping.
-  bool ApplyElision =
-      CP.Options.ApplyElision && Tier != TranslationTier::Baseline;
-  if (CP.Options.Barrier == BarrierMode::Generational) {
-    // The rearrangement protocol is excluded from Generational (as from
-    // CardMarking): RearrangeStores is never consulted here.
-    bool MarkElided = D.Elide && ApplyElision;
-    bool RemElided = D.TargetYoung && ApplyElision;
-    if (MarkElided)
-      return RemElided ? StoreVariant::GenElided : StoreVariant::GenPreNull;
-    return RemElided ? StoreVariant::GenYoung : StoreVariant::Gen;
-  }
-  if (D.Elide && ApplyElision)
-    return StoreVariant::Elided;
-  bool Kept = Tier == TranslationTier::Baseline
-                  ? CP.Options.Barrier != BarrierMode::None
-                  : (PC < CM.BarrierKept.size() && CM.BarrierKept[PC]);
-  if (!Kept)
-    return StoreVariant::NoBarrier; // BarrierMode::None lands here too
-  bool Rearr = PC < CM.RearrangeStores.size() && CM.RearrangeStores[PC] &&
-               CP.Options.Barrier != BarrierMode::CardMarking;
-  switch (CP.Options.Barrier) {
-  case BarrierMode::Satb:
-    return Rearr ? StoreVariant::RearrSatb : StoreVariant::Satb;
-  case BarrierMode::SatbAlwaysLog:
-    return Rearr ? StoreVariant::RearrAlwaysLog : StoreVariant::AlwaysLog;
-  case BarrierMode::CardMarking:
-    return StoreVariant::Card;
-  case BarrierMode::Generational: // handled above
-  case BarrierMode::None:
-    break;
-  }
-  assert(false && "kept barrier under BarrierMode::None");
-  return StoreVariant::NoBarrier;
-}
-
-FastOp selectPutField(StoreVariant V) {
-  switch (V) {
-  case StoreVariant::Elided:
-    return FastOp::PutFieldRef_Elided;
-  case StoreVariant::NoBarrier:
-    return FastOp::PutFieldRef_NoBarrier;
-  case StoreVariant::Satb:
-    return FastOp::PutFieldRef_Satb;
-  case StoreVariant::AlwaysLog:
-    return FastOp::PutFieldRef_AlwaysLog;
-  case StoreVariant::Card:
-    return FastOp::PutFieldRef_Card;
-  case StoreVariant::Gen:
-    return FastOp::PutFieldRef_Gen;
-  case StoreVariant::GenPreNull:
-    return FastOp::PutFieldRef_GenPreNull;
-  case StoreVariant::GenYoung:
-    return FastOp::PutFieldRef_GenYoung;
-  case StoreVariant::GenElided:
-    return FastOp::PutFieldRef_GenElided;
-  case StoreVariant::RearrSatb:
-  case StoreVariant::RearrAlwaysLog:
-    break;
-  }
-  assert(false && "rearrangement protocol marks only aastores");
-  return FastOp::PutFieldRef_NoBarrier;
-}
-
-FastOp selectPutStatic(StoreVariant V) {
-  switch (V) {
-  case StoreVariant::Elided:
-    return FastOp::PutStaticRef_Elided;
-  case StoreVariant::NoBarrier:
-    return FastOp::PutStaticRef_NoBarrier;
-  case StoreVariant::Satb:
-    return FastOp::PutStaticRef_Satb;
-  case StoreVariant::AlwaysLog:
-    return FastOp::PutStaticRef_AlwaysLog;
-  case StoreVariant::Card:
-    return FastOp::PutStaticRef_Card;
-  case StoreVariant::Gen:
-    return FastOp::PutStaticRef_Gen;
-  case StoreVariant::GenPreNull:
-  case StoreVariant::GenElided:
-    // Statics are roots: no remembered-set component exists, so a
-    // marking-elided static store is fully elided.
-    return FastOp::PutStaticRef_Elided;
-  case StoreVariant::GenYoung: // the analysis never proves a static young
-  case StoreVariant::RearrSatb:
-  case StoreVariant::RearrAlwaysLog:
-    break;
-  }
-  assert(false && "rearrangement protocol marks only aastores");
-  return FastOp::PutStaticRef_NoBarrier;
-}
-
-FastOp selectAAStore(StoreVariant V) {
-  switch (V) {
-  case StoreVariant::Elided:
-    return FastOp::AAStore_Elided;
-  case StoreVariant::NoBarrier:
-    return FastOp::AAStore_NoBarrier;
-  case StoreVariant::Satb:
-    return FastOp::AAStore_Satb;
-  case StoreVariant::AlwaysLog:
-    return FastOp::AAStore_AlwaysLog;
-  case StoreVariant::Card:
-    return FastOp::AAStore_Card;
-  case StoreVariant::Gen:
-    return FastOp::AAStore_Gen;
-  case StoreVariant::GenPreNull:
-    return FastOp::AAStore_GenPreNull;
-  case StoreVariant::GenYoung:
-    return FastOp::AAStore_GenYoung;
-  case StoreVariant::GenElided:
-    return FastOp::AAStore_GenElided;
-  case StoreVariant::RearrSatb:
-    return FastOp::AAStore_Rearr_Satb;
-  case StoreVariant::RearrAlwaysLog:
-    return FastOp::AAStore_Rearr_AlwaysLog;
-  }
-  assert(false && "unhandled store variant");
-  return FastOp::AAStore_NoBarrier;
-}
-
-/// Bulk-store selection. The variants map onto the range-barrier naming:
-/// Satb/AlwaysLog/Card/Gen are the _RangeBarrier family (one prologue for
-/// the whole range), GenYoung is _RangeYoung, Elided/GenElided are
-/// _RangeElided. Bulk sites never carry the rearrangement protocol.
-FastOp selectBulk(StoreVariant V, bool IsFill) {
-  switch (V) {
-  case StoreVariant::Elided:
-    return IsFill ? FastOp::ArrayFill_Elided : FastOp::ArrayCopy_Elided;
-  case StoreVariant::NoBarrier:
-    return IsFill ? FastOp::ArrayFill_NoBarrier
-                  : FastOp::ArrayCopy_NoBarrier;
-  case StoreVariant::Satb:
-    return IsFill ? FastOp::ArrayFill_Satb : FastOp::ArrayCopy_Satb;
-  case StoreVariant::AlwaysLog:
-    return IsFill ? FastOp::ArrayFill_AlwaysLog
-                  : FastOp::ArrayCopy_AlwaysLog;
-  case StoreVariant::Card:
-    return IsFill ? FastOp::ArrayFill_Card : FastOp::ArrayCopy_Card;
-  case StoreVariant::Gen:
-    return IsFill ? FastOp::ArrayFill_Gen : FastOp::ArrayCopy_Gen;
-  case StoreVariant::GenPreNull:
-    return IsFill ? FastOp::ArrayFill_GenPreNull
-                  : FastOp::ArrayCopy_GenPreNull;
-  case StoreVariant::GenYoung:
-    return IsFill ? FastOp::ArrayFill_GenYoung : FastOp::ArrayCopy_GenYoung;
-  case StoreVariant::GenElided:
-    return IsFill ? FastOp::ArrayFill_GenElided
-                  : FastOp::ArrayCopy_GenElided;
-  case StoreVariant::RearrSatb:
-  case StoreVariant::RearrAlwaysLog:
-    break;
-  }
-  assert(false && "rearrangement protocol never marks bulk stores");
-  return IsFill ? FastOp::ArrayFill_NoBarrier : FastOp::ArrayCopy_NoBarrier;
-}
-
-/// Per-component view of the *static* tier's verdict at a barrier site,
-/// shared by the speculative lowering below and the promotion policy's
-/// candidate scan (siteComponentsKept). Statics have no remembered-set
-/// component (they are scanned as roots); rearranged and card-marking
-/// sites are never speculated — rearrangement is a logging protocol the
-/// pre-null guard says nothing about, and the card barrier keys on the
-/// *new* value, which Pre == null cannot discharge.
-struct SiteComponents {
-  bool MarkKept = false;
-  bool RemKept = false;
-  bool MarkStaticElided = false;
-  bool RemStaticElided = false;
-  bool Speculable = false;
-};
-
-SiteComponents siteComponents(const CompiledProgram &CP,
-                              const CompiledMethod &CM, uint32_t PC,
-                              bool IsStaticStore) {
-  StoreVariant V = storeVariant(CP, CM, PC, TranslationTier::Static);
-  SiteComponents R;
-  R.MarkKept = V == StoreVariant::Satb || V == StoreVariant::AlwaysLog ||
-               V == StoreVariant::Gen || V == StoreVariant::GenYoung;
-  R.MarkStaticElided = V == StoreVariant::Elided ||
-                       V == StoreVariant::GenPreNull ||
-                       V == StoreVariant::GenElided;
-  if (!IsStaticStore) {
-    R.RemKept = V == StoreVariant::Gen || V == StoreVariant::GenPreNull;
-    R.RemStaticElided =
-        V == StoreVariant::GenYoung || V == StoreVariant::GenElided;
-  }
-  R.Speculable = V != StoreVariant::Card && V != StoreVariant::NoBarrier &&
-                 V != StoreVariant::RearrSatb &&
-                 V != StoreVariant::RearrAlwaysLog;
-  return R;
-}
-
-/// The FastInst::C flag word for a speculative store site, or 0 when no
-/// requested speculation applies (the caller falls back to the static
-/// selection). A speculation request is honored only for a component the
-/// static tier actually keeps — speculating on a statically-removed
-/// component would be a strict regression.
-uint16_t specSiteFlags(const CompiledProgram &CP, const CompiledMethod &CM,
-                       uint32_t PC, const SpeculativeFacts &Spec,
-                       bool IsStaticStore) {
-  SiteComponents SC = siteComponents(CP, CM, PC, IsStaticStore);
-  if (!SC.Speculable)
-    return 0;
-  bool SpecNull =
-      PC < Spec.NullSpec.size() && Spec.NullSpec[PC] && SC.MarkKept;
-  bool SpecYoung =
-      PC < Spec.YoungSpec.size() && Spec.YoungSpec[PC] && SC.RemKept;
-  if (!SpecNull && !SpecYoung)
-    return 0;
-  uint16_t F = 0;
-  if (SpecNull)
-    F |= kSpecMarkNull;
-  else if (SC.MarkStaticElided)
-    F |= kSpecMarkStaticElided;
-  else if (SC.MarkKept)
-    F |= kSpecMarkKept;
-  if (SpecYoung)
-    F |= kSpecRemYoung;
-  else if (SC.RemStaticElided)
-    F |= kSpecRemStaticElided;
-  else if (SC.RemKept)
-    F |= kSpecRemKept;
-  if (CP.Options.Barrier == BarrierMode::SatbAlwaysLog)
-    F |= kSpecAlwaysLog;
-  return F;
-}
 
 /// Net operand-stack effect of one instruction (callee effects folded in
 /// for Invoke).
@@ -656,6 +418,20 @@ FastMethod translateMethodImpl(const Program &P, const CompiledProgram &CP,
     FI.A = Ins.A;
     FI.B = Ins.B;
     auto Set = [&FI](FastOp Op) { FI.Op = static_cast<uint16_t>(Op); };
+    // A store site lowers to the one opcode executing its plan; only a
+    // guarded plan needs FastInst::C (the Spec handlers decode it there).
+    auto SetStore = [&](StoreKind K) {
+      const SpeculativeFacts *Spec = Opts.Spec;
+      BarrierPlan SP = tierPlan(
+          CM.Plans[PC], CP.Options.Barrier, Opts.Tier,
+          Spec && PC < Spec->NullSpec.size() && Spec->NullSpec[PC],
+          Spec && PC < Spec->YoungSpec.size() && Spec->YoungSpec[PC],
+          K == StoreKind::PutStaticRef);
+      Set(opFor(K, SP));
+      if (SP.guarded())
+        FI.C = SP.bits();
+      FI.Site = Offsets[M] + PC;
+    };
     switch (Ins.Op) {
     case Opcode::IConst:
       Set(FastOp::IConst);
@@ -713,17 +489,7 @@ FastMethod translateMethodImpl(const Program &P, const CompiledProgram &CP,
       } else if (FD.Type == JType::Int) {
         Set(FastOp::PutFieldInt);
       } else {
-        uint16_t SF = Opts.Tier == TranslationTier::Speculative && Opts.Spec
-                          ? specSiteFlags(CP, CM, PC, *Opts.Spec,
-                                          /*IsStaticStore=*/false)
-                          : 0;
-        if (SF) {
-          Set(FastOp::PutFieldRef_Spec);
-          FI.C = SF;
-        } else {
-          Set(selectPutField(storeVariant(CP, CM, PC, Opts.Tier)));
-        }
-        FI.Site = Offsets[M] + PC;
+        SetStore(StoreKind::PutFieldRef);
       }
       break;
     }
@@ -738,17 +504,7 @@ FastMethod translateMethodImpl(const Program &P, const CompiledProgram &CP,
       if (P.staticDecl(SId).Type == JType::Int) {
         Set(FastOp::PutStaticInt);
       } else {
-        uint16_t SF = Opts.Tier == TranslationTier::Speculative && Opts.Spec
-                          ? specSiteFlags(CP, CM, PC, *Opts.Spec,
-                                          /*IsStaticStore=*/true)
-                          : 0;
-        if (SF) {
-          Set(FastOp::PutStaticRef_Spec);
-          FI.C = SF;
-        } else {
-          Set(selectPutStatic(storeVariant(CP, CM, PC, Opts.Tier)));
-        }
-        FI.Site = Offsets[M] + PC;
+        SetStore(StoreKind::PutStaticRef);
       }
       break;
     }
@@ -770,36 +526,15 @@ FastMethod translateMethodImpl(const Program &P, const CompiledProgram &CP,
     case Opcode::IAStore:
       Set(FastOp::IAStore);
       break;
-    case Opcode::AAStore: {
-      uint16_t SF = Opts.Tier == TranslationTier::Speculative && Opts.Spec
-                        ? specSiteFlags(CP, CM, PC, *Opts.Spec,
-                                        /*IsStaticStore=*/false)
-                        : 0;
-      if (SF) {
-        Set(FastOp::AAStore_Spec);
-        FI.C = SF;
-      } else {
-        Set(selectAAStore(storeVariant(CP, CM, PC, Opts.Tier)));
-      }
-      FI.Site = Offsets[M] + PC;
+    case Opcode::AAStore:
+      SetStore(StoreKind::AAStore);
       break;
-    }
     case Opcode::ArrayFill:
-    case Opcode::ArrayCopy: {
-      const bool IsFill = Ins.Op == Opcode::ArrayFill;
-      uint16_t SF = Opts.Tier == TranslationTier::Speculative && Opts.Spec
-                        ? specSiteFlags(CP, CM, PC, *Opts.Spec,
-                                        /*IsStaticStore=*/false)
-                        : 0;
-      if (SF) {
-        Set(IsFill ? FastOp::ArrayFill_Spec : FastOp::ArrayCopy_Spec);
-        FI.C = SF;
-      } else {
-        Set(selectBulk(storeVariant(CP, CM, PC, Opts.Tier), IsFill));
-      }
-      FI.Site = Offsets[M] + PC;
+      SetStore(StoreKind::ArrayFill);
       break;
-    }
+    case Opcode::ArrayCopy:
+      SetStore(StoreKind::ArrayCopy);
+      break;
     case Opcode::ArrayLength:
       Set(FastOp::ArrayLength);
       break;
@@ -913,19 +648,4 @@ FastMethod satb::translateMethod(const Program &P, const CompiledProgram &CP,
                                  MethodId M, const TranslateOptions &Opts) {
   return translateMethodImpl(P, CP, M, Opts, computeFieldLayout(P),
                              CP.instrOffsets());
-}
-
-bool satb::siteComponentsKept(const CompiledProgram &CP, MethodId M,
-                              uint32_t PC, bool &MarkKept, bool &RemKept,
-                              bool &Speculable) {
-  const CompiledMethod &CM = CP.Methods[M];
-  if (PC >= CM.Analysis.Decisions.size() ||
-      !CM.Analysis.Decisions[PC].IsBarrierSite)
-    return false;
-  bool IsStaticStore = CM.Body.Instructions[PC].Op == Opcode::PutStatic;
-  SiteComponents SC = siteComponents(CP, CM, PC, IsStaticStore);
-  MarkKept = SC.MarkKept;
-  RemKept = SC.RemKept;
-  Speculable = SC.Speculable;
-  return true;
 }

@@ -117,18 +117,20 @@ void MethodVersionTable::trySpeculate(MethodId M, const SiteStats *Sites,
   std::vector<bool> NullAlways(N, false), YoungAlways(N, false);
   bool Any = false;
   for (uint32_t PC = 0; PC != N; ++PC) {
-    bool MarkKept = false, RemKept = false, Speculable = false;
-    if (!siteComponentsKept(*CP, M, PC, MarkKept, RemKept, Speculable) ||
-        !Speculable)
+    const BarrierPlan &Plan = CM.Plans[PC];
+    bool GuardNull = Plan.canGuardNull();
+    bool GuardYoung =
+        Plan.canGuardYoung(CM.Body.Instructions[PC].Op == Opcode::PutStatic);
+    if (!GuardNull && !GuardYoung)
       continue;
     const SiteStats &SS = Sites[Offsets[M] + PC];
     if (SS.Execs < Opts.MinSiteExecs)
       continue;
-    if (MarkKept && SS.PreNull == SS.Execs) {
+    if (GuardNull && SS.PreNull == SS.Execs) {
       NullAlways[PC] = true;
       Any = true;
     }
-    if (RemKept && SS.YoungSeen == SS.Execs) {
+    if (GuardYoung && SS.YoungSeen == SS.Execs) {
       YoungAlways[PC] = true;
       Any = true;
     }

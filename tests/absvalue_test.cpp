@@ -237,10 +237,11 @@ TEST(CodeSizeModel, BodyCostSumsBarriers) {
       {Opcode::PutField, 0, 0},
       {Opcode::Ret, 0, 0},
   };
-  std::vector<bool> NoBarriers(4, false);
-  std::vector<bool> WithBarrier = {false, false, true, false};
-  uint32_t Base = CodeSizeModel::bodyCost(Code, NoBarriers, 11);
-  uint32_t Full = CodeSizeModel::bodyCost(Code, WithBarrier, 11);
+  std::vector<BarrierPlan> NoBarriers(4);
+  std::vector<BarrierPlan> WithBarrier(4);
+  WithBarrier[2].Mark = MarkPlan::Satb;
+  uint32_t Base = CodeSizeModel::bodyCost(Code, NoBarriers);
+  uint32_t Full = CodeSizeModel::bodyCost(Code, WithBarrier);
   EXPECT_EQ(Full, Base + 11);
 }
 
@@ -270,7 +271,7 @@ TEST(BarrierStatsReport, TopSitesSortedAndFiltered) {
   EXPECT_EQ(All[0].Stats.Execs, 25u);
   auto Kept = I.stats().topSites(10, /*OnlyKept=*/true);
   ASSERT_EQ(Kept.size(), 1u);
-  EXPECT_FALSE(Kept[0].Stats.ElideDecision);
+  EXPECT_NE(Kept[0].Stats.Plan.Mark, MarkPlan::Elided);
 }
 
 // --- Termination backstops ------------------------------------------------------

@@ -63,15 +63,15 @@ TEST(Compiler, BarrierKeptReflectsDecisionsAndMode) {
   InlineSensitive S;
   CompilerOptions Opts;
   CompiledMethod CM = compileMethod(S.F.P, S.Main, Opts);
-  for (size_t I = 0; I != CM.BarrierKept.size(); ++I) {
+  for (size_t I = 0; I != CM.Plans.size(); ++I) {
     const BarrierDecision &D = CM.Analysis.Decisions[I];
-    EXPECT_EQ(CM.BarrierKept[I], D.IsBarrierSite && !D.Elide);
+    EXPECT_EQ(CM.Plans[I].Mark == MarkPlan::Satb, D.IsBarrierSite && !D.Elide);
   }
   CompilerOptions NoBarrier;
   NoBarrier.Barrier = BarrierMode::None;
   CompiledMethod CMN = compileMethod(S.F.P, S.Main, NoBarrier);
-  for (bool Kept : CMN.BarrierKept)
-    EXPECT_FALSE(Kept);
+  for (const BarrierPlan &Plan : CMN.Plans)
+    EXPECT_TRUE(Plan.Mark == MarkPlan::None || Plan.Mark == MarkPlan::Elided);
 }
 
 TEST(Compiler, ApplyElisionOffKeepsBarriers) {
@@ -80,8 +80,9 @@ TEST(Compiler, ApplyElisionOffKeepsBarriers) {
   Opts.ApplyElision = false;
   CompiledMethod CM = compileMethod(S.F.P, S.Main, Opts);
   EXPECT_GT(CM.Analysis.NumElided, 0u); // analysis still ran
-  for (size_t I = 0; I != CM.BarrierKept.size(); ++I)
-    EXPECT_EQ(CM.BarrierKept[I], CM.Analysis.Decisions[I].IsBarrierSite);
+  for (size_t I = 0; I != CM.Plans.size(); ++I)
+    EXPECT_EQ(CM.Plans[I].Mark == MarkPlan::Satb,
+              CM.Analysis.Decisions[I].IsBarrierSite);
 }
 
 TEST(Compiler, CodeSizeShrinksWithElision) {

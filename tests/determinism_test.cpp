@@ -53,7 +53,7 @@ TEST(Determinism, CompiledProgramsIdentical) {
     for (size_t M = 0; M != A.Methods.size(); ++M) {
       EXPECT_EQ(A.Methods[M].Body.Instructions.size(),
                 B.Methods[M].Body.Instructions.size());
-      EXPECT_EQ(A.Methods[M].BarrierKept, B.Methods[M].BarrierKept)
+      EXPECT_EQ(A.Methods[M].Plans, B.Methods[M].Plans)
           << W.Name;
       EXPECT_EQ(A.Methods[M].CodeSize, B.Methods[M].CodeSize);
     }

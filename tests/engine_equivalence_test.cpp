@@ -112,7 +112,7 @@ TEST(EngineEquivalence, FifoVsRpoIdenticalOnWorkloads) {
         expectSameDecisions(A.Methods[M].Analysis, B.Methods[M].Analysis,
                             W.Name + " method " + std::to_string(M) +
                                 " cfg " + VarName);
-        EXPECT_EQ(A.Methods[M].BarrierKept, B.Methods[M].BarrierKept);
+        EXPECT_EQ(A.Methods[M].Plans, B.Methods[M].Plans);
         EXPECT_EQ(A.Methods[M].CodeSize, B.Methods[M].CodeSize);
       }
     }
@@ -135,7 +135,7 @@ TEST(EngineEquivalence, SerialVsParallelCompileIdentical) {
       EXPECT_EQ(A.Methods[M].Id, B.Methods[M].Id) << Where;
       expectSameDecisions(A.Methods[M].Analysis, B.Methods[M].Analysis,
                           Where);
-      EXPECT_EQ(A.Methods[M].BarrierKept, B.Methods[M].BarrierKept)
+      EXPECT_EQ(A.Methods[M].Plans, B.Methods[M].Plans)
           << Where;
       EXPECT_EQ(A.Methods[M].CodeSize, B.Methods[M].CodeSize) << Where;
       EXPECT_EQ(A.Methods[M].CodeSizeNoElision,

@@ -192,6 +192,40 @@ TEST_F(HeapFixture, BytesAllocatedGrows) {
   EXPECT_GT(H.bytesAllocatedApprox(), Before);
 }
 
+TEST_F(HeapFixture, TlabCountersPublishInBatches) {
+  // TLAB installs reach the shared counters at a ref-block refill, once
+  // a chunk's worth of bytes is pending, or at publishTlab -- never later.
+  Heap H(P);
+  H.enterMultiMutator(1u << 12);
+  Heap::Tlab T;
+  ObjRef First = H.allocateObjectTlab(T, C); // takes the first ref block
+  const uint64_t Block = H.object(First).blockBytes();
+  EXPECT_EQ(H.numAllocated(), 1u);
+  EXPECT_EQ(H.bytesAllocatedApprox(), Block);
+  for (int I = 0; I != 10; ++I)
+    H.allocateObjectTlab(T, C);
+  EXPECT_EQ(H.numAllocated(), 1u) << "small installs stay pending";
+  EXPECT_EQ(T.PendingObjects, 10u);
+  H.publishTlab(T);
+  EXPECT_EQ(H.numAllocated(), 11u);
+  EXPECT_EQ(H.numLive(), 11u);
+  EXPECT_EQ(H.bytesAllocatedApprox(), 11 * Block);
+  EXPECT_EQ(T.PendingObjects, 0u);
+
+  // The 65th install opens the next ref block and publishes.
+  for (int I = 11; I != 65; ++I)
+    H.allocateObjectTlab(T, C);
+  EXPECT_EQ(H.numAllocated(), 65u);
+  EXPECT_EQ(T.PendingObjects, 0u);
+
+  // A block of at least a chunk's bytes publishes at once.
+  ObjRef Big = H.allocateRefArrayTlab(T, 4096);
+  EXPECT_EQ(H.numAllocated(), 66u);
+  EXPECT_EQ(H.bytesAllocatedApprox(),
+            65 * Block + H.object(Big).blockBytes());
+  H.exitMultiMutator();
+}
+
 // --- Generational layer: nursery, promotion, minor collection ---------------
 
 TEST_F(HeapFixture, NurseryBumpAllocationSetsYoungBit) {

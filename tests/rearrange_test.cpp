@@ -247,8 +247,8 @@ TEST(Rearrange, DisabledByDefault) {
   MoveDownWorkload W;
   CompiledProgram CP = compileProgram(W.P, CompilerOptions{});
   EXPECT_EQ(CP.method(W.Delete).RearrangeLoops, 0u);
-  for (bool B : CP.method(W.Delete).RearrangeStores)
-    EXPECT_FALSE(B);
+  for (const BarrierPlan &Plan : CP.method(W.Delete).Plans)
+    EXPECT_FALSE(Plan.Rearrange);
 }
 
 TEST(Rearrange, CardMarkingIgnoresProtocol) {

@@ -177,7 +177,7 @@ Observed runConfig(const Program &P, const CompiledProgram &CP,
 /// Translates \p M at all three tiers (Speculative with every
 /// profile-eligible site requested) and checks the deopt precondition:
 /// identical length, A, B, Site everywhere; C identical except where the
-/// speculative tier planted a flag word on a *_Spec op.
+/// speculative tier planted a guarded plan on a *_Spec op.
 void expectTierShapeInvariant(const Program &P, const CompiledProgram &CP,
                               MethodId M, size_t &SpecOps) {
   const CompiledMethod &CM = CP.Methods[M];
@@ -216,9 +216,9 @@ void expectTierShapeInvariant(const Program &P, const CompiledProgram &CP,
                        VOp == FastOp::LoadAAStore_Spec;
     SpecOps += IsBaseSpec || IsFusedSpec;
     if (IsBaseSpec) {
-      EXPECT_NE(V.Code[I].C, 0) << "spec op with empty flag word";
+      EXPECT_NE(V.Code[I].C, 0) << "spec op without a guarded plan";
     } else if (IsFusedSpec) {
-      // The flag word lives on the pair's verbatim second slot (a base
+      // The guarded plan lives on the pair's verbatim second slot (a base
       // spec op the loop checks on its own); the first slot's C is the
       // load's, identical across tiers.
       EXPECT_EQ(S.Code[I].C, V.Code[I].C)
@@ -385,7 +385,7 @@ TEST(Tiered, PromotesSpeculatesAndDeoptsOnGuardFailure) {
       Flat0 = Tmp.flatIndex(G.Setf, G.StorePC);
     }
     const SiteStats &SS = Tier.Sites[Flat0];
-    EXPECT_FALSE(SS.ElideDecision);
+    EXPECT_NE(SS.Plan.Mark, MarkPlan::Elided);
     EXPECT_GT(SS.SpecElided, 0u) << Tag;
     EXPECT_EQ(SS.Deopts, 1u) << Tag;
     EXPECT_EQ(SS.Violations, 0u) << Tag;

@@ -45,11 +45,12 @@ using namespace satb;
 
 namespace {
 
-/// True for the bulk-store opcode block (every ArrayFill_*/ArrayCopy_*
-/// variant). These are base ops below the fused block and fusedOp never
-/// pairs them.
+/// True for every ArrayFill_*/ArrayCopy_* opcode; fusedOp never pairs
+/// them.
 bool isBulkOp(FastOp Op) {
-  return Op >= FastOp::ArrayFill_Elided && Op <= FastOp::ArrayCopy_Spec;
+  std::optional<StoreOpInfo> SI = storeOpInfo(Op);
+  return SI && (SI->Kind == StoreKind::ArrayFill ||
+                SI->Kind == StoreKind::ArrayCopy);
 }
 
 /// A bulk-store rider workload: per transaction, one elided fill of a
