@@ -39,7 +39,7 @@ CycleResult runCycle(const Workload &W, bool Enable, int64_t Scale) {
   RC.WarmupSteps = 2000;
   RC.MutatorQuantum = 256;
   RC.MarkerQuantum = 4;
-  ConcurrentRunResult R = runWithConcurrentSatb(I, M, H, W.Entry, {Scale}, RC);
+  ConcurrentRunResult R = runWithConcurrentCycle(I, M, H, W.Entry, {Scale}, RC);
   CycleResult C;
   C.Logged = M.stats().LoggedPreValues;
   C.Rearranged = I.stats().summarize().RearrangedExecs;

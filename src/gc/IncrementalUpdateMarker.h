@@ -11,19 +11,19 @@
 /// reports SATB termination pauses "sometimes more than an order of
 /// magnitude smaller" (bench S1 reproduces the asymmetry).
 ///
+/// The tracing itself is the shared marking core (gc/ConcurrentMarker.h);
+/// this marker adds its grey source (dirty cards, claimed with
+/// testAndClean), its barrier entry (recordWrite), and the root rescan
+/// plus card fixpoint of its final pause.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SATB_GC_INCREMENTALUPDATEMARKER_H
 #define SATB_GC_INCREMENTALUPDATEMARKER_H
 
-#include "gc/ParallelMark.h"
-#include "heap/Heap.h"
-
-#include <memory>
+#include "gc/ConcurrentMarker.h"
 
 namespace satb {
-
-class ThreadPool;
 
 /// A card table over ObjRefs: CardShift objects per card. Bytes, not
 /// vector<bool> — mutators dirty cards concurrently and packed bits would
@@ -91,39 +91,17 @@ private:
   std::vector<uint8_t> Dirty;
 };
 
-struct IncUpdateStats {
+struct IncUpdateStats : MarkStats {
   uint64_t CardsDirtied = 0;    ///< barrier executions
-  uint64_t ConcurrentWork = 0;
-  uint64_t FinalPauseWork = 0;  ///< slots re-examined inside the pause
   uint64_t FinalPausePasses = 0;
-  uint64_t MarkedObjects = 0;
-  uint64_t SweptObjects = 0;
 };
 
-class IncrementalUpdateMarker {
+class IncrementalUpdateMarker : public ConcurrentMarker {
 public:
-  explicit IncrementalUpdateMarker(Heap &H) : H(H) {}
+  explicit IncrementalUpdateMarker(Heap &H)
+      : ConcurrentMarker(H, Stats, /*SnapshotAtBegin=*/false) {}
 
-  /// Parallel-marking knob, mirroring SatbMarker::setMarkThreads: 1 (the
-  /// default) is the serial marker unchanged; N > 1 drains with N workers
-  /// over sharded grey stacks, refilling from dirty cards claimed via the
-  /// card table's atomic testAndClean. \p Pool must hold >= N threads.
-  void setMarkThreads(unsigned N, ThreadPool *Pool = nullptr);
-  unsigned markThreads() const { return MarkThreads; }
-
-  /// Mark-once debug counters (test instrumentation); see SatbMarker.
-  void enableTraceCounts(size_t CapacityRefs);
-  uint32_t traceCount(ObjRef R) const {
-    return TraceCounts && R < TraceCountCap
-               ? TraceCounts[R].load(std::memory_order_relaxed)
-               : 0;
-  }
-
-  /// Relaxed: polled by mutators on every ref store; transitions only at
-  /// stop-the-world points ordered by the safepoint handshake.
-  bool isActive() const { return Active.load(std::memory_order_relaxed); }
-
-  void beginMarking(const std::vector<ObjRef> &MutatorRoots);
+  void beginMarking(const std::vector<ObjRef> &MutatorRoots) override;
 
   /// Mutator barrier: the card of the written object goes dirty. Also
   /// called for objects allocated during marking. Thread-safe (release
@@ -135,44 +113,29 @@ public:
     __atomic_fetch_add(&Stats.CardsDirtied, uint64_t(1), __ATOMIC_RELAXED);
   }
 
-  /// Concurrent work: trace from the mark stack, refilling it from dirty
-  /// cards when it empties. \returns true when no work appears to remain.
-  bool markStep(size_t Budget);
-
   /// Final stop-the-world pause: re-scan roots and iterate dirty-card
   /// scanning to a clean table. \returns the pause work.
-  size_t finishMarking(const std::vector<ObjRef> &MutatorRoots);
-
-  size_t sweep();
+  size_t finishMarking(const std::vector<ObjRef> &MutatorRoots) override;
 
   const IncUpdateStats &stats() const { return Stats; }
 
 private:
-  void pushIfUnmarked(ObjRef R, size_t &Work);
-  void scanObject(ObjRef R, size_t &Work);
-  /// Rescans one dirty card: every live object on it is re-examined.
-  void rescanCard(uint32_t Card, size_t &Work);
-  void bumpTrace(ObjRef R) {
-    if (TraceCounts && R < TraceCountCap)
-      TraceCounts[R].fetch_add(1, std::memory_order_relaxed);
-  }
+  // The grey source: dirty cards.
+  bool refill(size_t &Work) override;
+  bool refill(Worker &W) override;
+  bool hasPendingSource() override { return Cards.anyDirty(); }
 
-  // --- Parallel drain (MarkThreads > 1), see DESIGN.md ---------------------
-  uint64_t parallelDrain(size_t Budget, bool ToCompletion);
-  void parallelWorker(unsigned WorkerIdx, size_t Budget, bool ToCompletion,
-                      TerminationGate &Gate, std::atomic<uint64_t> &MarkedOut,
-                      std::atomic<uint64_t> &WorkOut);
+  /// Cleans \p Card and re-examines every marked object on it through
+  /// \p ScanMarked, counting one unit per object. \returns false when the
+  /// card was already clean (another worker claimed it).
+  template <typename ScanFn>
+  bool rescanCard(uint32_t Card, size_t &Work, ScanFn ScanMarked);
+  /// Rescans the first dirty card at or after \p From (wrapping).
+  template <typename ScanFn>
+  bool rescanFirstDirty(uint32_t From, size_t &Work, ScanFn ScanMarked);
 
-  Heap &H;
-  CardTable Cards;
-  std::atomic<bool> Active{false};
-  std::vector<ObjRef> MarkStack; ///< collector-thread private
   IncUpdateStats Stats;
-  unsigned MarkThreads = 1;
-  ThreadPool *MarkPool = nullptr;
-  GreyQueue Grey; ///< hand-off queue; always empty when MarkThreads == 1
-  std::unique_ptr<std::atomic<uint32_t>[]> TraceCounts;
-  size_t TraceCountCap = 0;
+  CardTable Cards;
 };
 
 } // namespace satb

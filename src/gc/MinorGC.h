@@ -43,7 +43,6 @@
 #define SATB_GC_MINORGC_H
 
 #include "gc/IncrementalUpdateMarker.h"
-#include "gc/SatbMarker.h"
 #include "heap/Heap.h"
 
 namespace satb {
@@ -65,10 +64,9 @@ class MinorGC {
 public:
   explicit MinorGC(Heap &H) : H(H) {}
 
-  /// Attach the concurrent markers so collect() can detect an active
-  /// cycle (either barrier mode) and switch to wholesale promotion.
-  void attachSatb(const SatbMarker *M) { Satb = M; }
-  void attachIncUpdate(const IncrementalUpdateMarker *M) { IncUpdate = M; }
+  /// Attach the concurrent marker (either kind) so collect() can detect
+  /// an active cycle and switch to wholesale promotion.
+  void attachMarker(const ConcurrentMarker *M) { Marker = M; }
 
   /// Declares whether a generational barrier is maintaining the
   /// remembered set. False (the default) forces wholesale promotion —
@@ -99,20 +97,17 @@ public:
   const MinorGCStats &stats() const { return Stats; }
 
 private:
-  /// True when a concurrent marking cycle is active on either attached
+  /// True when a concurrent marking cycle is active on the attached
   /// marker: survivors cannot be distinguished from snapshot members, so
   /// collect() must promote everything and free nothing.
-  bool markingActive() const {
-    return (Satb && Satb->isActive()) || (IncUpdate && IncUpdate->isActive());
-  }
+  bool markingActive() const { return Marker && Marker->isActive(); }
 
   void promoteAll();
   void clearRemSet();
 
   Heap &H;
   CardTable RemSet;
-  const SatbMarker *Satb = nullptr;
-  const IncrementalUpdateMarker *IncUpdate = nullptr;
+  const ConcurrentMarker *Marker = nullptr;
   bool RemSetValid = false;
   MinorGCStats Stats;
   /// collect()'s young-reachability bitmap and worklist, kept across

@@ -8,9 +8,9 @@
 /// instrumentation counters.
 ///
 /// The interpreter is step-driven so marking can be interleaved with
-/// mutation at instruction granularity; runWithConcurrentSatb /
-/// runWithConcurrentIncUpdate drive a full concurrent cycle and check the
-/// respective marker's correctness oracle.
+/// mutation at instruction granularity; runWithConcurrentCycle drives one
+/// deterministic concurrent cycle of either marker and checks its
+/// correctness oracle.
 ///
 /// Integer semantics are JVM int: 32-bit two's-complement wraparound
 /// (relevant to the Section 3.6 overflow discussion). Traps (null
@@ -171,7 +171,7 @@ private:
   BarrierStats Stats;
 };
 
-// --- Concurrent-cycle drivers ---------------------------------------------
+// --- The deterministic concurrent-cycle driver -----------------------------
 
 struct ConcurrentRunConfig {
   uint64_t WarmupSteps = 1000;   ///< mutator steps before marking starts
@@ -180,36 +180,30 @@ struct ConcurrentRunConfig {
   uint64_t StepLimit = 200'000'000;
 };
 
-struct ConcurrentRunResult {
+/// One cycle's totals (CycleTotals: oracle, marked, pause work, swept) and
+/// the mutator's outcome.
+struct ConcurrentRunResult : CycleTotals {
   RunStatus Status = RunStatus::NotStarted;
   TrapKind Trap = TrapKind::None;
-  /// The marker's oracle: SATB — everything reachable in the
-  /// start-of-marking snapshot is marked; incremental update — everything
-  /// reachable at the final pause is marked.
-  bool OracleHolds = false;
-  uint64_t OracleLive = 0;   ///< objects the oracle requires marked
-  uint64_t Marked = 0;
-  size_t FinalPauseWork = 0;
-  size_t Swept = 0;
 };
 
-/// Runs \p Entry with a SATB marking cycle interleaved after WarmupSteps,
-/// checking the snapshot oracle before sweeping. Templated over the
-/// engine so the reference Interpreter and the FastInterp run the same
-/// deterministic schedule (the equivalence test drives both).
+/// Runs \p Entry with one marking cycle of \p M (SATB or incremental
+/// update) begun after WarmupSteps, then mutator and marker alternating in
+/// fixed quanta on the calling thread: the schedule, and so every count,
+/// is a pure function of the inputs. The cycle's oracle is checked before
+/// the sweep (CycleEdges). Templated over the engine so the reference
+/// Interpreter and the FastInterp run the same schedule (the equivalence
+/// test drives both).
 template <typename Engine>
-ConcurrentRunResult
-runWithConcurrentSatb(Engine &I, SatbMarker &M, Heap &H, MethodId Entry,
-                      const std::vector<int64_t> &IntArgs,
-                      const ConcurrentRunConfig &Cfg) {
+ConcurrentRunResult runWithConcurrentCycle(Engine &I, ConcurrentMarker &M,
+                                           Heap &H, MethodId Entry,
+                                           const std::vector<int64_t> &IntArgs,
+                                           const ConcurrentRunConfig &Cfg) {
   ConcurrentRunResult R;
+  CycleEdges Edges(M, H, R);
   I.start(Entry, IntArgs);
   I.step(Cfg.WarmupSteps);
-
-  std::vector<ObjRef> Roots = I.collectRoots();
-  ReachabilityOracle Snapshot;
-  R.OracleLive = Snapshot.capture(H, Roots);
-  M.beginMarking(Roots);
+  Edges.begin(I.collectRoots());
 
   uint64_t Remaining = Cfg.StepLimit;
   bool MarkerDone = false;
@@ -220,53 +214,9 @@ runWithConcurrentSatb(Engine &I, SatbMarker &M, Heap &H, MethodId Entry,
     Remaining -= Quantum;
     MarkerDone = M.markStep(Cfg.MarkerQuantum);
   }
-  R.FinalPauseWork = M.finishMarking();
-
-  // The SATB oracle: the snapshot is entirely marked.
-  R.OracleHolds = Snapshot.holds(H);
-  R.Marked = M.stats().MarkedObjects;
-  R.Swept = M.sweep();
+  Edges.finish([&] { return I.collectRoots(); });
 
   // Let the mutator finish (barriers now inactive).
-  if (I.status() == RunStatus::Running && Remaining > 0)
-    I.step(Remaining);
-  R.Status = I.status();
-  R.Trap = I.trap();
-  return R;
-}
-
-/// Incremental-update counterpart (end-of-marking reachability oracle).
-template <typename Engine>
-ConcurrentRunResult
-runWithConcurrentIncUpdate(Engine &I, IncrementalUpdateMarker &M, Heap &H,
-                           MethodId Entry,
-                           const std::vector<int64_t> &IntArgs,
-                           const ConcurrentRunConfig &Cfg) {
-  ConcurrentRunResult R;
-  I.start(Entry, IntArgs);
-  I.step(Cfg.WarmupSteps);
-
-  M.beginMarking(I.collectRoots());
-  uint64_t Remaining = Cfg.StepLimit;
-  bool MarkerDone = false;
-  while (I.status() == RunStatus::Running && !MarkerDone && Remaining > 0) {
-    uint64_t Quantum = Cfg.MutatorQuantum < Remaining ? Cfg.MutatorQuantum
-                                                      : Remaining;
-    I.step(Quantum);
-    Remaining -= Quantum;
-    MarkerDone = M.markStep(Cfg.MarkerQuantum);
-  }
-  std::vector<ObjRef> FinalRoots = I.collectRoots();
-  R.FinalPauseWork = M.finishMarking(FinalRoots);
-
-  // The incremental-update oracle: everything reachable at the final pause
-  // is marked.
-  ReachabilityOracle LiveNow;
-  R.OracleLive = LiveNow.capture(H, FinalRoots);
-  R.OracleHolds = LiveNow.holds(H);
-  R.Marked = M.stats().MarkedObjects;
-  R.Swept = M.sweep();
-
   if (I.status() == RunStatus::Running && Remaining > 0)
     I.step(Remaining);
   R.Status = I.status();

@@ -10,73 +10,9 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 using namespace satb;
-
-ConcurrentRunResult
-satb::runWithThreadedSatb(Interpreter &I, SatbMarker &M, Heap &H,
-                          MethodId Entry,
-                          const std::vector<int64_t> &IntArgs,
-                          const ThreadedRunConfig &Cfg) {
-  ConcurrentRunResult R;
-  I.start(Entry, IntArgs);
-  I.step(Cfg.WarmupSteps);
-
-  std::vector<ObjRef> Roots = I.collectRoots();
-  ReachabilityOracle Snapshot;
-  R.OracleLive = Snapshot.capture(H, Roots);
-  M.beginMarking(Roots);
-
-  std::mutex HeapLock;
-  std::atomic<bool> MarkerDone{false};
-  std::atomic<bool> MutatorStopped{false};
-
-  std::thread Marker([&] {
-    while (!MutatorStopped.load(std::memory_order_acquire)) {
-      bool Done;
-      {
-        std::lock_guard<std::mutex> Guard(HeapLock);
-        Done = M.markStep(Cfg.MarkerQuantum);
-      }
-      if (Done) {
-        MarkerDone.store(true, std::memory_order_release);
-        return;
-      }
-      std::this_thread::yield();
-    }
-    MarkerDone.store(true, std::memory_order_release);
-  });
-
-  uint64_t Remaining = Cfg.StepLimit;
-  while (I.status() == RunStatus::Running && Remaining > 0 &&
-         !MarkerDone.load(std::memory_order_acquire)) {
-    uint64_t Quantum = std::min<uint64_t>(Cfg.MutatorQuantum, Remaining);
-    {
-      std::lock_guard<std::mutex> Guard(HeapLock);
-      I.step(Quantum);
-    }
-    Remaining -= Quantum;
-    std::this_thread::yield();
-  }
-  MutatorStopped.store(true, std::memory_order_release);
-  Marker.join();
-
-  // The final pause: the marker thread has exited, the mutator is parked.
-  R.FinalPauseWork = M.finishMarking();
-  R.OracleHolds = Snapshot.holds(H);
-  R.Marked = M.stats().MarkedObjects;
-  R.Swept = M.sweep();
-
-  if (I.status() == RunStatus::Running && Remaining > 0)
-    I.step(Remaining);
-  R.Status = I.status();
-  R.Trap = I.trap();
-  return R;
-}
-
-// --- Multi-mutator driver ---------------------------------------------------
 
 MultiMutatorResult satb::runWithConcurrentMutators(
     unsigned Mutators, const Program &P, const CompiledProgram &CP,
@@ -107,11 +43,13 @@ MultiMutatorResult satb::runWithConcurrentMutators(
   Heap H(P);
   SatbMarker Satb(H, Cfg.SatbBufferCap);
   IncrementalUpdateMarker Inc(H);
+  ConcurrentMarker &Marker =
+      UseSatb ? static_cast<ConcurrentMarker &>(Satb) : Inc;
   SafepointCoordinator SC;
   SafepointPauseStats PauseStats;
   SC.setPauseStats(&PauseStats);
-  // Pacer-driven cycle triggering; DebugTraceCounts pins the scripted
-  // single-cycle driver (the mark-once instrumentation is per-cycle).
+  // The cycle trigger: the pacer, or the scripted one-shot. DebugTraceCounts
+  // pins the one-shot (the mark-once instrumentation is per-cycle).
   const bool UsePacer = Cfg.Pacer.Enabled && !Cfg.DebugTraceCounts;
   Pacer Pace(H, Cfg.Pacer);
 
@@ -120,13 +58,10 @@ MultiMutatorResult satb::runWithConcurrentMutators(
   std::unique_ptr<ThreadPool> MarkPool;
   if (Cfg.MarkThreads > 1) {
     MarkPool = std::make_unique<ThreadPool>(Cfg.MarkThreads);
-    Satb.setMarkThreads(Cfg.MarkThreads, MarkPool.get());
-    Inc.setMarkThreads(Cfg.MarkThreads, MarkPool.get());
+    Marker.setMarkThreads(Cfg.MarkThreads, MarkPool.get());
   }
-  if (Cfg.DebugTraceCounts) {
-    Satb.enableTraceCounts(Cfg.HeapCapacityRefs);
-    Inc.enableTraceCounts(Cfg.HeapCapacityRefs);
-  }
+  if (Cfg.DebugTraceCounts)
+    Marker.enableTraceCounts(Cfg.HeapCapacityRefs);
 
   H.enterMultiMutator(Cfg.HeapCapacityRefs);
 
@@ -141,8 +76,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     NC.NurseryBytes = Cfg.NurseryBytes;
     NC.PretenureBytes = Cfg.PretenureBytes;
     H.enableNursery(NC);
-    Gen.attachSatb(&Satb);
-    Gen.attachIncUpdate(&Inc);
+    Gen.attachMarker(&Marker);
     Gen.ensureCapacity(Cfg.HeapCapacityRefs);
     Gen.setRemSetValid(CP.Options.Barrier == BarrierMode::Generational);
   }
@@ -274,22 +208,13 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     });
   }
 
-  // The two marking pauses, shared by the scripted and the pacer driver.
-  // Each runs the reachability oracle inside the pause: SATB captures the
-  // snapshot at the start and checks it at termination; incremental
-  // update captures and checks at termination. One bad cycle fails the
-  // run.
-  ReachabilityOracle Oracle;
-  R.OracleHolds = true;
+  // The two cycle edges, each a stop-the-world pause. CycleEdges places
+  // the marker's oracle; one bad cycle fails the run.
+  CycleEdges Edges(Marker, H, R);
   auto BeginPause = [&] {
     StopTheWorld([&] {
       CollectRoots();
-      if (UseSatb) {
-        R.OracleLive += Oracle.capture(H, Roots);
-        Satb.beginMarking(Roots);
-      } else {
-        Inc.beginMarking(Roots);
-      }
+      Edges.begin(Roots);
     });
   };
   // Final STW: flush every context, terminate marking, check the oracle
@@ -298,122 +223,85 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     StopTheWorld([&] {
       for (auto &E : Engines)
         E->context().flush();
-      if (UseSatb) {
-        R.FinalPauseWork += Satb.finishMarking();
-      } else {
+      Edges.finish([&]() -> const std::vector<ObjRef> & {
         CollectRoots();
-        R.FinalPauseWork += Inc.finishMarking(Roots);
-        R.OracleLive += Oracle.capture(H, Roots);
-      }
-      R.OracleHolds &= Oracle.holds(H);
-      R.Swept += UseSatb ? Satb.sweep() : Inc.sweep();
+        return Roots;
+      });
       if (Cfg.DebugTraceCounts) {
         R.TraceCounts.resize(H.maxRef() + 1, 0);
         for (ObjRef Ref = 1; Ref <= H.maxRef(); ++Ref)
-          R.TraceCounts[Ref] =
-              UseSatb ? Satb.traceCount(Ref) : Inc.traceCount(Ref);
-        if (UseSatb)
-          R.SnapshotSet = Oracle.toBits(H.maxRef() + 1);
+          R.TraceCounts[Ref] = Marker.traceCount(Ref);
+        R.SnapshotSet = Edges.oracle().toBits(H.maxRef() + 1);
       }
     });
     ++R.Cycles;
   };
-  auto MarkStep = [&] {
-    return UseSatb ? Satb.markStep(Cfg.MarkerQuantum)
-                   : Inc.markStep(Cfg.MarkerQuantum);
+
+  // --- The coordinator loop -------------------------------------------------
+  //
+  // The trigger policy decides when a cycle begins: the scripted trigger
+  // fires once, when the mutators have allocated WarmupAllocs objects or
+  // all exited; the pacer fires whenever allocation pressure asks. Between
+  // polls the coordinator marks concurrently; three idle marking rounds in
+  // a row mean the marker is waiting on mutator activity it may never get,
+  // so the cycle ends with the termination pause. Mutators never wait on
+  // the trigger; they only stop at the handshakes themselves.
+  bool InCycle = false;
+  bool Triggered = false;
+  size_t IdleStreak = 0;
+  auto ShouldStartCycle = [&] {
+    if (UsePacer)
+      return Pace.shouldStartCycle();
+    return !Triggered && (H.numAllocated() >= Cfg.WarmupAllocs ||
+                          SC.exitedCount() == Mutators);
+  };
+  auto BeginCycle = [&] {
+    BeginPause();
+    if (UsePacer)
+      Pace.noteCycleStart();
+    InCycle = Triggered = true;
+    IdleStreak = 0;
+  };
+  auto FinishCycle = [&] {
+    FinishPause();
+    if (UsePacer)
+      Pace.noteCycleEnd();
+    InCycle = false;
   };
 
-  if (!UsePacer) {
-    // --- Scripted driver: warmup, then exactly one marking cycle ----------
-
-    // Warmup: let the mutators build a heap before the cycle starts.
-    while (H.numAllocated() < Cfg.WarmupAllocs &&
-           SC.exitedCount() < Mutators) {
-      ServeMinorGC();
-      std::this_thread::yield();
-    }
-
-    // STW #1: snapshot roots across every mutator and start the cycle.
-    BeginPause();
-
-    // Concurrent marking on this (coordinator) thread while the mutators
-    // run. A few consecutive idle rounds mean the marker is waiting on
-    // mutator activity it may never get; proceed to the termination pause.
-    size_t IdleStreak = 0;
-    while (IdleStreak < 3 && SC.exitedCount() < Mutators) {
-      ServeMinorGC();
-      if (MarkStep()) {
-        ++IdleStreak;
-        std::this_thread::yield();
+  while (SC.exitedCount() < Mutators) {
+    ServeMinorGC();
+    if (InCycle) {
+      if (Marker.markStep(Cfg.MarkerQuantum)) {
+        if (++IdleStreak >= 3)
+          FinishCycle();
+        else
+          std::this_thread::yield();
       } else {
         IdleStreak = 0;
       }
-    }
-    FinishPause();
-
-    // Marking is over, but the mutators keep running to completion; keep
-    // serving minor collections so the nursery stays usable for the tail.
-    if (Cfg.EnableNursery)
-      while (SC.exitedCount() < Mutators) {
-        ServeMinorGC();
-        std::this_thread::yield();
-      }
-  } else {
-    // --- Pacer-driven cycles: as many as allocation pressure asks for ----
-    //
-    // The coordinator polls the pacer between marking quanta: a trigger
-    // starts a cycle with the same begin pause as the scripted driver;
-    // three idle marking rounds finish it with the same termination
-    // pause. Mutators never wait on the pacer; they only stop at the
-    // handshakes themselves. OracleHolds stays vacuously true when
-    // pressure never triggers.
-    size_t IdleStreak = 0;
-    auto BeginCycle = [&] {
-      BeginPause();
-      Pace.noteCycleStart();
-      IdleStreak = 0;
-    };
-    auto FinishCycle = [&] {
-      FinishPause();
-      Pace.noteCycleEnd();
-    };
-
-    while (SC.exitedCount() < Mutators) {
-      ServeMinorGC();
-      if (Pace.inCycle()) {
-        if (MarkStep()) {
-          if (++IdleStreak >= 3)
-            FinishCycle();
-          else
-            std::this_thread::yield();
-        } else {
-          IdleStreak = 0;
-        }
-      } else if (Pace.shouldStartCycle()) {
-        BeginCycle();
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    // Every mutator exited: terminate an in-flight cycle against the
-    // quiesced heap, then drain work that accrued too late to be
-    // scheduled while the mutators ran — on a busy (or single-CPU) host
-    // a short run can finish inside one scheduler slice, before the
-    // coordinator's first poll. Outstanding allocation pressure still
-    // owes a collection; a raised minor-GC request still owes a nursery
-    // sweep. Both run exactly as they would have mid-run, so the
-    // "pressure implies a cycle" contract holds on any host.
-    ServeMinorGC();
-    if (Pace.inCycle()) {
-      FinishCycle();
-    } else if (Pace.shouldStartCycle()) {
+    } else if (ShouldStartCycle()) {
       BeginCycle();
-      while (!MarkStep())
-        ;
-      FinishCycle();
+    } else {
+      std::this_thread::yield();
     }
   }
-  R.Marked = UseSatb ? Satb.stats().MarkedObjects : Inc.stats().MarkedObjects;
+  // Every mutator exited: terminate an in-flight cycle against the
+  // quiesced heap, then run what accrued too late to be scheduled while
+  // the mutators ran — on a busy (or single-CPU) host a short run can
+  // finish inside one scheduler slice, before the coordinator's first
+  // poll. A trigger that still fires owes a cycle (the scripted one always
+  // does if it has not fired yet); a raised minor-GC request still owes a
+  // nursery sweep. Both run exactly as they would have mid-run.
+  ServeMinorGC();
+  if (InCycle) {
+    FinishCycle();
+  } else if (ShouldStartCycle()) {
+    BeginCycle();
+    while (!Marker.markStep(Cfg.MarkerQuantum))
+      ;
+    FinishCycle();
+  }
 
   for (std::thread &T : Threads)
     T.join();
@@ -443,7 +331,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
   R.Safepoint = PauseStats;
   if (Cfg.EnableNursery) {
     // Empty the nursery with one last collection (every thread has
-    // joined; the markers are idle, so survivors promote precisely when
+    // joined; the marker is idle, so survivors promote precisely when
     // the remembered set is valid) — no young object may outlive the
     // nursery buffer.
     CollectRoots();

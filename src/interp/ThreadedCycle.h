@@ -3,28 +3,25 @@
 /// \file
 /// Concurrent cycles on real OS threads, the setting the paper targets
 /// ("garbage collection and the user program execute simultaneously",
-/// Section 1). Two drivers:
+/// Section 1). runWithConcurrentMutators runs N FastInterp mutators
+/// against one heap, and either marker, with *no* coarse lock. Each mutator
+/// runs through its MutatorContext (TLAB allocation, private SATB buffer,
+/// per-thread BarrierStats shard) and polls a safepoint flag at
+/// translated poll sites. The coordinator thread uses real stop-the-world
+/// handshakes (SafepointCoordinator) for the cycle edges (CycleEdges, with
+/// the marker's oracle checked inside the final pause) and for minor
+/// collections, and marks concurrently in between. One coordinator loop
+/// carries both trigger policies: the scripted trigger fires once, the
+/// pacer (gc/Pacer.h) fires from allocation pressure. See DESIGN.md
+/// "Concurrent cycle" and "Multi-mutator runtime" for the memory-model
+/// contract.
 ///
-///  - runWithThreadedSatb: one mutator, the marker on its own thread,
-///    synchronized by a coarse per-quantum mutex. Kept as the simplest
-///    real-thread configuration and as a bridge to the deterministic
-///    interleaved driver in Interpreter.h (still the primary test vehicle
-///    because its schedules are reproducible).
-///
-///  - runWithConcurrentMutators: N FastInterp mutators against one heap
-///    with one marking cycle (SATB or incremental update) and *no* coarse
-///    lock. Each mutator runs through its MutatorContext (TLAB
-///    allocation, private SATB buffer, per-thread BarrierStats shard) and
-///    polls a safepoint flag at translated poll sites; the coordinator
-///    uses real stop-the-world handshakes (SafepointCoordinator) for the
-///    marking edges, drains hand-over buffers concurrently in between,
-///    and evaluates the marker's oracle inside the final pause. See
-///    DESIGN.md "Multi-mutator runtime" for the memory-model contract.
+/// These runs are OS-scheduled; runWithConcurrentCycle (Interpreter.h) is
+/// the deterministic single-mutator driver.
 ///
 /// The Section 4.3 array-rearrangement protocol is single-mutator-only
 /// (its active-set bookkeeping assumes one bracketing thread) and must be
-/// compiled out (EnableArrayRearrange=false, the default) for
-/// multi-mutator runs.
+/// compiled out (EnableArrayRearrange=false, the default) for these runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,21 +37,6 @@
 
 namespace satb {
 
-struct ThreadedRunConfig {
-  uint64_t WarmupSteps = 1000;
-  uint64_t MutatorQuantum = 128; ///< interpreter steps per lock hold
-  size_t MarkerQuantum = 32;     ///< marker work units per lock hold
-  uint64_t StepLimit = 200'000'000;
-};
-
-/// Like runWithConcurrentSatb, but the marker runs on its own thread.
-/// The snapshot oracle is evaluated at the final pause exactly as in the
-/// deterministic driver.
-ConcurrentRunResult runWithThreadedSatb(Interpreter &I, SatbMarker &M,
-                                        Heap &H, MethodId Entry,
-                                        const std::vector<int64_t> &IntArgs,
-                                        const ThreadedRunConfig &Cfg);
-
 // --- Multi-mutator driver ---------------------------------------------------
 
 enum class MultiMarkerKind { Satb, IncrementalUpdate };
@@ -67,8 +49,9 @@ struct MultiMutatorConfig {
   uint64_t PollQuantum = 512;
   size_t MarkerQuantum = 64;  ///< marker work units per concurrent round
   uint64_t StepLimit = 20'000'000; ///< per mutator
-  /// Marking begins once the mutators have allocated this many objects
-  /// (or all exited), so the cycle starts against a warm heap.
+  /// The scripted trigger: the one cycle begins once the mutators have
+  /// allocated this many objects (or all exited), so it starts against a
+  /// warm heap.
   uint64_t WarmupAllocs = 2000;
   /// Fixed object-table capacity for the run (Heap::enterMultiMutator).
   uint32_t HeapCapacityRefs = 1u << 20;
@@ -107,13 +90,13 @@ struct MultiMutatorConfig {
   /// without touching test code.
   TieredOptions Tiered;
   /// Allocation-pressure pacing (gc/Pacer.h): when Pacer.Enabled the
-  /// coordinator replaces the scripted warmup + single-cycle sequence
-  /// with pacer-triggered cycles — as many as allocation pressure asks
-  /// for, each with its own begin/finish handshakes and per-cycle
-  /// oracle — and serves proactive nursery-fill minor collections.
-  /// Defaults from the SATB_PACER* environment. DebugTraceCounts forces
-  /// the scripted driver: the mark-once instrumentation accumulates
-  /// across cycles and is only meaningful for exactly one.
+  /// pacer replaces the scripted trigger — as many cycles as allocation
+  /// pressure asks for, each with its own begin/finish handshakes and
+  /// per-cycle oracle — and requests proactive nursery-fill minor
+  /// collections. Defaults from the SATB_PACER* environment.
+  /// DebugTraceCounts forces the scripted trigger: the mark-once
+  /// instrumentation accumulates across cycles and is only meaningful
+  /// for exactly one.
   PacerConfig Pacer;
   /// Server mode: when nonzero, every mutator invokes Entry this many
   /// times (one request per invocation; heap and static state persist
@@ -123,14 +106,8 @@ struct MultiMutatorConfig {
   uint64_t Requests = 0;
 };
 
-struct MultiMutatorResult {
-  /// SATB: start-of-marking snapshot entirely marked at the final pause.
-  /// Incremental update: everything reachable at the final pause marked.
-  bool OracleHolds = false;
-  uint64_t OracleLive = 0;
-  uint64_t Marked = 0;
-  size_t FinalPauseWork = 0;
-  size_t Swept = 0;
+/// CycleTotals sum over every cycle of the run.
+struct MultiMutatorResult : CycleTotals {
   /// Per-mutator outcomes, indexed by mutator. A Running status means the
   /// per-mutator StepLimit cut the run short.
   std::vector<RunStatus> Statuses;
@@ -143,14 +120,15 @@ struct MultiMutatorResult {
   uint64_t LoggedPreValues = 0;  ///< SATB marker total (exact, lock-counted)
   /// Filled only when Cfg.DebugTraceCounts: TraceCounts[R] is how many
   /// times the marker traced object R (the mark-once property demands
-  /// <= 1 everywhere); SnapshotSet is the SATB start-of-marking
-  /// reachability bitmap (every snapshot object must have count exactly
-  /// 1). SnapshotSet stays empty for the incremental-update marker.
+  /// <= 1 everywhere); SnapshotSet is the cycle's oracle set (SATB: the
+  /// start-of-marking snapshot; incremental update: what was reachable at
+  /// the final pause), every object of which the marker traced exactly
+  /// once.
   std::vector<uint32_t> TraceCounts;
   std::vector<bool> SnapshotSet;
   /// Minor-collection totals for the run (zero unless Cfg.EnableNursery).
   MinorGCStats Minor;
-  /// Marking cycles completed: 1 for the scripted driver, pacer-driven
+  /// Marking cycles completed: 1 for the scripted trigger, pacer-driven
   /// otherwise (0 when pressure never reached the trigger).
   uint64_t Cycles = 0;
   PacerStats Pacing; ///< pacer trigger counters (pacer mode only)
@@ -167,8 +145,9 @@ struct MultiMutatorResult {
   uint64_t TotalRequests = 0;
 };
 
-/// Runs \p Mutators FastInterp instances against one heap with one
-/// concurrent marking cycle. Builds the heap, marker, safepoint
+/// Runs \p Mutators FastInterp instances against one heap with
+/// concurrent marking cycles: exactly one (the scripted trigger) unless
+/// Cfg.Pacer is enabled. Builds the heap, marker, safepoint
 /// coordinator, and a safepoint-instrumented translation internally;
 /// every mutator executes \p Entry with \p IntArgs. \p CP must be
 /// compiled with the barrier mode matching \p Cfg.Marker, and with the

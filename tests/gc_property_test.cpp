@@ -68,7 +68,7 @@ TEST_P(SatbOracleProperty, SnapshotPreservedWithElision) {
   RC.MarkerQuantum = Cfg.MarkQ;
   RC.StepLimit = 2'000'000;
   ConcurrentRunResult R =
-      runWithConcurrentSatb(I, M, H, G.Entry, {300}, RC);
+      runWithConcurrentCycle(I, M, H, G.Entry, {300}, RC);
 
   EXPECT_TRUE(R.OracleHolds) << "SATB snapshot violated, seed " << Cfg.Seed;
   EXPECT_EQ(I.stats().summarize().Violations, 0u);
@@ -89,7 +89,7 @@ TEST_P(SatbOracleProperty, SweepNeverFreesSnapshotLiveObjects) {
   RC.WarmupSteps = Cfg.Warmup;
   RC.MutatorQuantum = Cfg.MutQ;
   RC.MarkerQuantum = Cfg.MarkQ;
-  ConcurrentRunResult R = runWithConcurrentSatb(I, M, H, G.Entry, {200}, RC);
+  ConcurrentRunResult R = runWithConcurrentCycle(I, M, H, G.Entry, {200}, RC);
   ASSERT_TRUE(R.OracleHolds);
   // The mutator kept running after the sweep; if the sweep freed a live
   // object the interpreter would have tripped an assertion or trapped on
@@ -113,7 +113,7 @@ TEST_P(SatbOracleProperty, IncrementalUpdateOracle) {
   RC.MutatorQuantum = Cfg.MutQ;
   RC.MarkerQuantum = Cfg.MarkQ;
   ConcurrentRunResult R =
-      runWithConcurrentIncUpdate(I, M, H, G.Entry, {300}, RC);
+      runWithConcurrentCycle(I, M, H, G.Entry, {300}, RC);
   EXPECT_TRUE(R.OracleHolds) << "IU oracle violated, seed " << Cfg.Seed;
   EXPECT_NE(R.Status, RunStatus::Trapped) << trapName(R.Trap);
 }
@@ -137,7 +137,7 @@ TEST_P(SatbOracleProperty, GenerationalNurserySnapshotPreserved) {
   H.enableNursery(NC);
   SatbMarker M(H);
   MinorGC Gen(H);
-  Gen.attachSatb(&M);
+  Gen.attachMarker(&M);
   Gen.setRemSetValid(true);
   Interpreter I(*G.P, CP, H);
   I.attachSatb(&M);
@@ -149,7 +149,7 @@ TEST_P(SatbOracleProperty, GenerationalNurserySnapshotPreserved) {
   RC.MutatorQuantum = Cfg.MutQ;
   RC.MarkerQuantum = Cfg.MarkQ;
   RC.StepLimit = 2'000'000;
-  ConcurrentRunResult R = runWithConcurrentSatb(I, M, H, G.Entry, {300}, RC);
+  ConcurrentRunResult R = runWithConcurrentCycle(I, M, H, G.Entry, {300}, RC);
 
   EXPECT_TRUE(R.OracleHolds)
       << "generational snapshot violated, seed " << Cfg.Seed;
@@ -177,7 +177,7 @@ TEST_P(SatbOracleProperty, IncrementalUpdateOracleWithNursery) {
   H.enableNursery(NC);
   IncrementalUpdateMarker M(H);
   MinorGC Gen(H);
-  Gen.attachIncUpdate(&M); // RemSetValid stays false: wholesale only
+  Gen.attachMarker(&M); // RemSetValid stays false: wholesale only
   Interpreter I(*G.P, CP, H);
   I.attachIncUpdate(&M);
   installNurseryHook(H, Gen, I);
@@ -186,7 +186,7 @@ TEST_P(SatbOracleProperty, IncrementalUpdateOracleWithNursery) {
   RC.MutatorQuantum = Cfg.MutQ;
   RC.MarkerQuantum = Cfg.MarkQ;
   ConcurrentRunResult R =
-      runWithConcurrentIncUpdate(I, M, H, G.Entry, {300}, RC);
+      runWithConcurrentCycle(I, M, H, G.Entry, {300}, RC);
   EXPECT_TRUE(R.OracleHolds) << "IU+nursery oracle violated, seed "
                              << Cfg.Seed;
   EXPECT_NE(R.Status, RunStatus::Trapped) << trapName(R.Trap);
@@ -210,7 +210,7 @@ TEST_P(WorkloadGc, SatbCycleOnRealWorkload) {
   I.attachSatb(&M);
   ConcurrentRunConfig RC;
   RC.WarmupSteps = 3000;
-  ConcurrentRunResult R = runWithConcurrentSatb(I, M, H, W.Entry, {400}, RC);
+  ConcurrentRunResult R = runWithConcurrentCycle(I, M, H, W.Entry, {400}, RC);
   EXPECT_TRUE(R.OracleHolds) << W.Name;
   EXPECT_EQ(R.Status, RunStatus::Finished) << trapName(R.Trap);
   EXPECT_EQ(I.stats().summarize().Violations, 0u) << W.Name;
@@ -234,7 +234,7 @@ TEST_P(WorkloadGc, SatbFinalPauseSmallerThanIncUpdate) {
     Interpreter I(*W.P, CP, H);
     I.attachSatb(&M);
     SatbPause =
-        runWithConcurrentSatb(I, M, H, W.Entry, {400}, RC).FinalPauseWork;
+        runWithConcurrentCycle(I, M, H, W.Entry, {400}, RC).FinalPauseWork;
   }
   {
     CompilerOptions Opts;
@@ -245,7 +245,7 @@ TEST_P(WorkloadGc, SatbFinalPauseSmallerThanIncUpdate) {
     IncrementalUpdateMarker M(H);
     Interpreter I(*W.P, CP, H);
     I.attachIncUpdate(&M);
-    IncPause = runWithConcurrentIncUpdate(I, M, H, W.Entry, {400}, RC)
+    IncPause = runWithConcurrentCycle(I, M, H, W.Entry, {400}, RC)
                    .FinalPauseWork;
   }
   // Not asserting the paper's "order of magnitude" here (scale-dependent);
@@ -271,7 +271,7 @@ TEST(WorkloadGc, GenerationalCycleCollectsAndPromotes) {
   H.enableNursery(NC);
   SatbMarker M(H);
   MinorGC Gen(H);
-  Gen.attachSatb(&M);
+  Gen.attachMarker(&M);
   Gen.setRemSetValid(true);
   Interpreter I(*W.P, CP, H);
   I.attachSatb(&M);
@@ -279,7 +279,7 @@ TEST(WorkloadGc, GenerationalCycleCollectsAndPromotes) {
   installNurseryHook(H, Gen, I);
   ConcurrentRunConfig RC;
   RC.WarmupSteps = 3000;
-  ConcurrentRunResult R = runWithConcurrentSatb(I, M, H, W.Entry, {400}, RC);
+  ConcurrentRunResult R = runWithConcurrentCycle(I, M, H, W.Entry, {400}, RC);
   EXPECT_TRUE(R.OracleHolds);
   EXPECT_EQ(R.Status, RunStatus::Finished) << trapName(R.Trap);
   BarrierStats::Summary S = I.stats().summarize();

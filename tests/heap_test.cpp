@@ -370,7 +370,7 @@ TEST_F(HeapFixture, MinorGCWholesaleDuringActiveMarking) {
   SatbMarker M(H);
   H.enableNursery();
   MinorGC Gen(H);
-  Gen.attachSatb(&M);
+  Gen.attachMarker(&M);
   Gen.setRemSetValid(true);
   ObjRef Dead = H.allocateObject(C);
   M.beginMarking({Dead});

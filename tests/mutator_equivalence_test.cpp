@@ -221,8 +221,7 @@ void runBothWithNursery(const Program &P, const CompilerOptions &Opts,
     I.attachSatb(&SM);
     I.attachIncUpdate(&IM);
     MinorGC Gen(H);
-    Gen.attachSatb(&SM);
-    Gen.attachIncUpdate(&IM);
+    Gen.attachMarker(&SM);
     Gen.setRemSetValid(GenMode);
     I.attachGen(&Gen);
     installNurseryHook(H, Gen, I);
@@ -242,8 +241,7 @@ void runBothWithNursery(const Program &P, const CompilerOptions &Opts,
     I.attachSatb(&SM);
     I.attachIncUpdate(&IM);
     MinorGC Gen(H);
-    Gen.attachSatb(&SM);
-    Gen.attachIncUpdate(&IM);
+    Gen.attachMarker(&SM);
     Gen.setRemSetValid(GenMode);
     I.attachGen(&Gen);
     installNurseryHook(H, Gen, I);
@@ -440,7 +438,7 @@ TEST(MutatorEquivalence, ConcurrentSatbCycle) {
       Interpreter I(*W.P, CP, H);
       SatbMarker M(H);
       I.attachSatb(&M);
-      Ref = runWithConcurrentSatb(I, M, H, W.Entry, {200}, Cfg);
+      Ref = runWithConcurrentCycle(I, M, H, W.Entry, {200}, Cfg);
       RefO = observe(I, H);
     }
     for (bool Fuse : {true, false}) {
@@ -451,7 +449,7 @@ TEST(MutatorEquivalence, ConcurrentSatbCycle) {
       FastInterp I(FP, CP, H);
       SatbMarker M(H);
       I.attachSatb(&M);
-      Fast = runWithConcurrentSatb(I, M, H, W.Entry, {200}, Cfg);
+      Fast = runWithConcurrentCycle(I, M, H, W.Entry, {200}, Cfg);
       FastO = observe(I, H);
       std::string What = W.Name + (Fuse ? "/fused" : "/unfused");
       expectConcurrentEqual(Ref, Fast, What);
@@ -473,7 +471,7 @@ TEST(MutatorEquivalence, ConcurrentIncUpdateCycle) {
       Interpreter I(*W.P, CP, H);
       IncrementalUpdateMarker M(H);
       I.attachIncUpdate(&M);
-      Ref = runWithConcurrentIncUpdate(I, M, H, W.Entry, {200}, Cfg);
+      Ref = runWithConcurrentCycle(I, M, H, W.Entry, {200}, Cfg);
       RefO = observe(I, H);
     }
     for (bool Fuse : {true, false}) {
@@ -484,7 +482,7 @@ TEST(MutatorEquivalence, ConcurrentIncUpdateCycle) {
       FastInterp I(FP, CP, H);
       IncrementalUpdateMarker M(H);
       I.attachIncUpdate(&M);
-      Fast = runWithConcurrentIncUpdate(I, M, H, W.Entry, {200}, Cfg);
+      Fast = runWithConcurrentCycle(I, M, H, W.Entry, {200}, Cfg);
       FastO = observe(I, H);
       std::string What = W.Name + (Fuse ? "/fused" : "/unfused");
       expectConcurrentEqual(Ref, Fast, What);
@@ -507,7 +505,7 @@ TEST(MutatorEquivalence, ConcurrentSatbRandomCorpus) {
       Interpreter I(*G.P, CP, H);
       SatbMarker M(H);
       I.attachSatb(&M);
-      Ref = runWithConcurrentSatb(I, M, H, G.Entry, {60}, Cfg);
+      Ref = runWithConcurrentCycle(I, M, H, G.Entry, {60}, Cfg);
     }
     for (bool Fuse : {true, false}) {
       Heap H(*G.P);
@@ -517,7 +515,7 @@ TEST(MutatorEquivalence, ConcurrentSatbRandomCorpus) {
       FastInterp I(FP, CP, H);
       SatbMarker M(H);
       I.attachSatb(&M);
-      Fast = runWithConcurrentSatb(I, M, H, G.Entry, {60}, Cfg);
+      Fast = runWithConcurrentCycle(I, M, H, G.Entry, {60}, Cfg);
       expectConcurrentEqual(Ref, Fast,
                             "seed " + std::to_string(Seed) +
                                 (Fuse ? "/fused" : "/unfused"));

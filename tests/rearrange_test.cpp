@@ -179,7 +179,7 @@ TEST(Rearrange, ProtocolSkipsLogsDuringMarking) {
     ConcurrentRunConfig RC;
     RC.WarmupSteps = 500;
     ConcurrentRunResult R =
-        runWithConcurrentSatb(I, M, H, W.Main, {120}, RC);
+        runWithConcurrentCycle(I, M, H, W.Main, {120}, RC);
     EXPECT_TRUE(R.OracleHolds);
     return M.stats().LoggedPreValues;
   };
@@ -208,7 +208,7 @@ TEST_P(RearrangeOracle, SnapshotPreservedUnderInterleavings) {
   RC.WarmupSteps = 777;
   RC.MutatorQuantum = MutQ;
   RC.MarkerQuantum = MarkQ;
-  ConcurrentRunResult R = runWithConcurrentSatb(I, M, H, W.Main, {200}, RC);
+  ConcurrentRunResult R = runWithConcurrentCycle(I, M, H, W.Main, {200}, RC);
   EXPECT_TRUE(R.OracleHolds)
       << "snapshot violated at mutQ=" << MutQ << " markQ=" << MarkQ;
   EXPECT_EQ(R.Status, RunStatus::Finished) << trapName(R.Trap);
@@ -237,10 +237,37 @@ TEST(Rearrange, RetraceTriggersOnOverlap) {
   RC.WarmupSteps = 4000; // deep inside the transaction steady state
   RC.MutatorQuantum = 256;
   RC.MarkerQuantum = 4;
-  ConcurrentRunResult R = runWithConcurrentSatb(I, M, H, W.Entry, {3000}, RC);
+  ConcurrentRunResult R = runWithConcurrentCycle(I, M, H, W.Entry, {3000}, RC);
   ASSERT_TRUE(R.OracleHolds);
   EXPECT_GT(M.stats().RearrangesEntered, 0u);
   EXPECT_GT(M.stats().RearrangesClean + M.stats().RearrangeRetraces, 0u);
+}
+
+TEST(Rearrange, JbbProtocolUnderSlidingWarmups) {
+  // jbb's delete loop under fine-grained interleaving: the cycle begins at
+  // several points of the transaction stream, so marking overlaps the
+  // bracketed loops at different phases, and the snapshot must hold every
+  // time.
+  Workload W = makeJbbLike();
+  CompiledProgram CP = compileProgram(*W.P, rearrangeOpts());
+  uint64_t Entered = 0;
+  for (uint64_t Warmup : {1000u, 3000u, 5000u, 9000u}) {
+    Heap H(*W.P);
+    SatbMarker M(H);
+    Interpreter I(*W.P, CP, H);
+    I.attachSatb(&M);
+    ConcurrentRunConfig RC;
+    RC.WarmupSteps = Warmup;
+    RC.MutatorQuantum = 32;
+    RC.MarkerQuantum = 4;
+    ConcurrentRunResult R =
+        runWithConcurrentCycle(I, M, H, W.Entry, {800}, RC);
+    EXPECT_TRUE(R.OracleHolds) << "warmup " << Warmup;
+    EXPECT_EQ(R.Status, RunStatus::Finished)
+        << "warmup " << Warmup << ": " << trapName(R.Trap);
+    Entered += M.stats().RearrangesEntered;
+  }
+  EXPECT_GT(Entered, 0u) << "no delete loop ran while marking";
 }
 
 TEST(Rearrange, DisabledByDefault) {
@@ -266,7 +293,7 @@ TEST(Rearrange, CardMarkingIgnoresProtocol) {
   ConcurrentRunConfig RC;
   RC.WarmupSteps = 500;
   ConcurrentRunResult R =
-      runWithConcurrentIncUpdate(I, M, H, W.Main, {120}, RC);
+      runWithConcurrentCycle(I, M, H, W.Main, {120}, RC);
   EXPECT_TRUE(R.OracleHolds);
 }
 
@@ -286,7 +313,7 @@ TEST(Rearrange, JbbDeleteOrderLoopRecognized) {
   I.attachSatb(&M);
   ConcurrentRunConfig RC;
   RC.WarmupSteps = 4000;
-  ConcurrentRunResult R = runWithConcurrentSatb(I, M, H, W.Entry, {400}, RC);
+  ConcurrentRunResult R = runWithConcurrentCycle(I, M, H, W.Entry, {400}, RC);
   EXPECT_TRUE(R.OracleHolds);
   EXPECT_EQ(R.Status, RunStatus::Finished);
 }
@@ -367,7 +394,7 @@ TEST_P(SwapOracle, SnapshotPreservedThroughSwaps) {
   RC.WarmupSteps = 3000; // inside the swap-heavy steady state
   RC.MutatorQuantum = MutQ;
   RC.MarkerQuantum = MarkQ;
-  ConcurrentRunResult R = runWithConcurrentSatb(I, M, H, W.Entry, {2000}, RC);
+  ConcurrentRunResult R = runWithConcurrentCycle(I, M, H, W.Entry, {2000}, RC);
   EXPECT_TRUE(R.OracleHolds)
       << "snapshot violated at mutQ=" << MutQ << " markQ=" << MarkQ;
   EXPECT_EQ(R.Status, RunStatus::Finished) << trapName(R.Trap);
@@ -398,7 +425,7 @@ TEST(RearrangeSwap, PauseMidSwapStillSound) {
     RC.MutatorQuantum = 1;
     RC.MarkerQuantum = 1;
     ConcurrentRunResult R =
-        runWithConcurrentSatb(I, M, H, W.Entry, {600}, RC);
+        runWithConcurrentCycle(I, M, H, W.Entry, {600}, RC);
     ASSERT_TRUE(R.OracleHolds) << "warmup " << Warmup;
   }
 }

@@ -122,7 +122,7 @@ Observed runConfig(const Program &P, const CompiledProgram &CP,
 
   SatbMarker M(H);
   MinorGC Gen(H);
-  Gen.attachSatb(&M);
+  Gen.attachMarker(&M);
   Gen.setRemSetValid(CP.Options.Barrier == BarrierMode::Generational);
 
   Observed O;
