@@ -13,6 +13,9 @@
 /// table — including every object allocated during marking, which SATB
 /// never examines.
 ///
+/// Exits 1 when an oracle fails or when some workload's incremental-update
+/// pause does not exceed SATB's.
+///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -37,6 +40,7 @@ int main() {
               "incupd pause", "ratio", "satb logged", "cards dirty");
   printRule(86);
 
+  std::vector<std::string> ShapeFails;
   for (const Workload &W : allWorkloads()) {
     size_t SatbPause;
     uint64_t Logged;
@@ -75,6 +79,8 @@ int main() {
       IncPause = R.FinalPauseWork;
       Cards = M.stats().CardsDirtied;
     }
+    if (IncPause <= SatbPause)
+      ShapeFails.push_back(W.Name);
     std::printf("%-6s %14zu %16zu %9.1fx %14llu %14llu\n", W.Name.c_str(),
                 SatbPause, IncPause,
                 static_cast<double>(IncPause) /
@@ -86,5 +92,10 @@ int main() {
   std::printf("Shape check: the incremental-update final pause exceeds "
               "SATB's on every workload,\noften by an order of magnitude "
               "(the paper's Section 1 claim).\n");
-  return 0;
+  for (const std::string &Name : ShapeFails)
+    std::fprintf(stderr,
+                 "shape check failed on %s: incremental-update pause does "
+                 "not exceed SATB's\n",
+                 Name.c_str());
+  return ShapeFails.empty() ? 0 : 1;
 }

@@ -81,9 +81,7 @@ int main() {
                 W.Name.c_str());
     std::printf("  cards dirtied: %llu\n",
                 static_cast<unsigned long long>(M.stats().CardsDirtied));
-    std::printf("  final pause work: %zu units in %llu passes\n",
-                R.FinalPauseWork,
-                static_cast<unsigned long long>(M.stats().FinalPausePasses));
+    std::printf("  final pause work: %zu units\n", R.FinalPauseWork);
     std::printf("  end-reachability oracle: %s\n",
                 R.OracleHolds ? "HOLDS" : "VIOLATED");
     if (!R.OracleHolds)

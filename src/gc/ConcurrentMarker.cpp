@@ -47,39 +47,16 @@ size_t ConcurrentMarker::stopMarking(size_t Pause) {
 
 bool ConcurrentMarker::markStep(size_t Budget) {
   assert(isActive() && "markStep outside a marking cycle");
-  size_t Work = 0;
-  if (MarkThreads > 1)
-    Work = parallelDrain(Budget, /*ToCompletion=*/false);
-  else
-    drain(Work, Budget);
-  Counts.ConcurrentWork += Work;
+  Counts.ConcurrentWork += runWorkers(Budget, /*Pause=*/false);
   return MarkStack.empty() && Grey.empty() && !hasPendingSource();
 }
 
-void ConcurrentMarker::drain(size_t &Work, size_t Budget) {
-  while (Work < Budget) {
-    if (!MarkStack.empty()) {
-      ObjRef R = MarkStack.back();
-      MarkStack.pop_back();
-      scanObject(R, Work);
-      continue;
-    }
-    if (!refill(Work))
-      break;
-  }
-}
-
 void ConcurrentMarker::drainAll(size_t &Work) {
-  if (MarkThreads == 1) {
-    drain(Work, SIZE_MAX);
-    return;
-  }
   // Mutators are stopped, so the source cannot grow behind the drain: one
-  // parallel drain to completion empties the grey queue, MarkStack and the
-  // source.
-  Work += parallelDrain(0, /*ToCompletion=*/true);
+  // drain to completion empties the grey stacks and the source.
+  Work += runWorkers(SIZE_MAX, /*Pause=*/true);
   assert(Grey.empty() && MarkStack.empty() && !hasPendingSource() &&
-         "parallel drain left work");
+         "drain left work");
 }
 
 size_t ConcurrentMarker::sweep() {
@@ -91,23 +68,29 @@ size_t ConcurrentMarker::sweep() {
   return Freed;
 }
 
-// --- Parallel drain ---------------------------------------------------------
+// --- The mark workers -------------------------------------------------------
 
-size_t ConcurrentMarker::parallelDrain(size_t Budget, bool ToCompletion) {
-  assert(MarkPool && MarkPool->numThreads() >= MarkThreads);
-  // Seed the hand-off queue with whatever the serial entry points staged
-  // (roots from beginMarking, pause-time pushes from finishMarking).
-  if (!MarkStack.empty()) {
-    Grey.push(std::move(MarkStack));
-    MarkStack.clear();
+size_t ConcurrentMarker::runWorkers(size_t Budget, bool Pause) {
+  if (MarkThreads == 1) {
+    // The lone worker runs inline and its stack is MarkStack, so leftover
+    // work stays put between calls.
+    Worker W{*this, 0, nullptr, Pause, std::move(MarkStack)};
+    traceLoop(W, Budget);
+    MarkStack = std::move(W.Local);
+    Counts.MarkedObjects += W.Marked;
+    return W.Work;
   }
+  assert(MarkPool && MarkPool->numThreads() >= MarkThreads);
+  // Seed the hand-off queue with whatever the pauses staged.
+  Grey.push(std::move(MarkStack));
+  MarkStack.clear();
   TerminationGate Gate;
   Gate.reset(MarkThreads);
   std::atomic<uint64_t> Marked{0};
   std::atomic<size_t> Work{0};
   MarkPool->parallelFor(MarkThreads, [&](size_t Idx) {
-    Worker W{*this, static_cast<unsigned>(Idx), {}};
-    parallelWorker(W, Budget, ToCompletion, Gate);
+    Worker W{*this, static_cast<unsigned>(Idx), &Gate, Pause, {}};
+    traceLoop(W, Budget);
     Marked.fetch_add(W.Marked);
     Work.fetch_add(W.Work);
   });
@@ -115,14 +98,14 @@ size_t ConcurrentMarker::parallelDrain(size_t Budget, bool ToCompletion) {
   return Work.load();
 }
 
-void ConcurrentMarker::parallelWorker(Worker &W, size_t Budget,
-                                      bool ToCompletion,
-                                      TerminationGate &Gate) {
-  bool Counted = true; // this worker is counted in the gate
+void ConcurrentMarker::traceLoop(Worker &W, size_t Budget) {
+  TerminationGate *Gate = W.Gate;
   for (;;) {
-    while (!W.Local.empty() && (ToCompletion || W.Work < Budget)) {
+    while (!W.Local.empty() && W.Work < Budget) {
       ObjRef R = W.Local.back();
       W.Local.pop_back();
+      // The tracing state brackets the scan for the SATB rearrangement
+      // protocol (SatbMarker::exitRearrange).
       HeapObject &Obj = H.object(R);
       storeTracingRelaxed(Obj, TraceState::Tracing);
       W.scanSlots(Obj);
@@ -130,36 +113,37 @@ void ConcurrentMarker::parallelWorker(Worker &W, size_t Budget,
       bumpTrace(R);
       ++W.Work;
     }
-    if (!ToCompletion && W.Work >= Budget) {
-      // Budget exhausted: park remaining work where other workers (or the
-      // next markStep) can reach it.
-      Grey.push(std::move(W.Local));
-      break;
+    if (W.Work >= Budget) {
+      // Budget exhausted. The lone worker keeps its stack; a gang member
+      // parks its remaining work where other workers (or the next
+      // markStep) can reach it.
+      if (Gate) {
+        Grey.push(std::move(W.Local));
+        Gate->goIdle();
+      }
+      return;
     }
     // Local stack dry: refill from a hand-off segment, then from the
     // marker's grey source.
-    if (Grey.tryPop(W.Local) || refill(W))
+    if ((Gate && Grey.tryPop(W.Local)) || refill(W))
       continue;
-    // No work anywhere we can see: enter the termination protocol.
-    Gate.goIdle();
-    Counted = false;
+    if (!Gate)
+      return;
+    // No work anywhere we can see: go idle until work reappears or every
+    // worker is idle.
+    Gate->goIdle();
     for (;;) {
       // Read the gate BEFORE re-checking for work: any segment handed off
       // before the last worker went idle is then guaranteed visible to
       // the work check, so "allIdle and still no work" is a sound exit.
-      bool Done = Gate.allIdle();
+      bool Done = Gate->allIdle();
       if (!Grey.empty() || hasPendingSource()) {
-        Gate.reOffer();
-        Counted = true;
+        Gate->reOffer();
         break;
       }
       if (Done)
-        break;
+        return;
       std::this_thread::yield();
     }
-    if (!Counted)
-      break;
   }
-  if (Counted)
-    Gate.goIdle();
 }

@@ -3,9 +3,9 @@
 /// \file
 /// What the paper's two concurrent collectors (Section 1) share: a grey
 /// mark stack traced from the roots, the object and reference-array slot
-/// scan, the parallel drain over sharded grey stacks (ParallelMark.h), and
-/// the sweep. SATB and incremental update differ only in three places,
-/// and each marker supplies just those:
+/// scan, one tracing loop for any number of mark workers (sharded grey
+/// stacks, ParallelMark.h), and the sweep. SATB and incremental update
+/// differ only in three places, and each marker supplies just those:
 ///
 ///  - its *grey source*, the work the mutators' barrier hands over while
 ///    marking runs: SATB pre-value buffers (SatbMarker) or dirty cards
@@ -13,10 +13,12 @@
 ///    hasPendingSource();
 ///  - its *barrier entry* (logPreValue/flushBuffer, or recordWrite);
 ///  - its *pause specifics* in finishMarking: the array-rearrangement
-///    retrace, or the root rescan plus the card fixpoint.
+///    retrace, or the root rescan; either then drains to completion.
 ///
 /// Dispatch to the marker is one virtual call per refill (a whole buffer
 /// or card), never per object: the per-object scan below is inline.
+/// MarkThreads == 1 runs the same loop inline on the caller with no
+/// hand-off queue and no termination gate.
 ///
 /// CycleEdges is the collector face the cycle drivers use: the two
 /// stop-the-world edges of a cycle, with the marker's correctness oracle
@@ -49,14 +51,13 @@ class ConcurrentMarker {
 public:
   virtual ~ConcurrentMarker() = default;
 
-  /// Parallel-marking knob. The default (1) is the serial marker. With
-  /// \p N > 1, markStep and finishMarking drain with N workers over
-  /// sharded grey stacks, refilling from the marker's grey source; \p Pool
-  /// must outlive the marker's cycles and hold at least N threads
-  /// (ThreadPool counts the caller, so ThreadPool(N) is the natural pool).
-  /// Call between cycles only, never mid-drain.
+  /// Parallel-marking knob. The default (1) runs the one mark worker
+  /// inline on the caller, keeping its grey stack across markStep calls.
+  /// With \p N > 1, markStep and finishMarking run N workers over sharded
+  /// grey stacks; \p Pool must outlive the marker's cycles and hold at
+  /// least N threads (ThreadPool counts the caller, so ThreadPool(N) is
+  /// the natural pool). Call between cycles only, never mid-drain.
   void setMarkThreads(unsigned N, ThreadPool *Pool = nullptr);
-  unsigned markThreads() const { return MarkThreads; }
 
   /// Debug instrumentation for the mark-once property tests: allocates a
   /// per-ObjRef trace counter (capacity \p CapacityRefs) that every
@@ -107,22 +108,26 @@ protected:
   ConcurrentMarker(Heap &H, MarkStats &Counts, bool SnapshotAtBegin)
       : H(H), Counts(Counts), SnapshotAtBegin(SnapshotAtBegin) {}
 
-  /// One parallel mark worker's private grey stack and counts. claim and
-  /// scanSlots are the counterparts of pushIfUnmarked and the serial
-  /// scanSlots; the mark bit is claimed atomically, so exactly one worker
-  /// admits each object.
+  /// One mark worker's private grey stack and counts. The mark bit is
+  /// claimed atomically, so exactly one worker admits each object. A lone
+  /// worker (no Gate) shares nothing: it never offloads a segment.
   struct Worker {
     ConcurrentMarker &M;
     unsigned Index;
+    TerminationGate *Gate; ///< null when MarkThreads == 1
+    bool Pause;            ///< draining in a termination pause
     GreySegment Local;
     uint64_t Marked = 0;
     size_t Work = 0;
+    /// The grey source's resume point within one pause drain (cards
+    /// probed by IncrementalUpdateMarker::refill).
+    uint32_t Cursor = 0;
 
     void admit(ObjRef R) {
       ++Marked;
       ++Work;
       Local.push_back(R);
-      if (Local.size() >= 2 * GreySegmentTarget) {
+      if (Gate && Local.size() >= 2 * GreySegmentTarget) {
         // Offload the *oldest* half: deep stacks mean a skewed subgraph,
         // and the bottom entries fan out widest.
         GreySegment Out(Local.begin(), Local.begin() + GreySegmentTarget);
@@ -131,10 +136,16 @@ protected:
       }
     }
     void claim(ObjRef R) {
-      if (R != NullRef && M.H.isLive(R) && M.H.tryClaimMark(R))
+      if (M.tryClaim(R))
         admit(R);
     }
+    /// Greys every unmarked referent of \p Obj.
     void scanSlots(const HeapObject &Obj) {
+      // Acquire per slot: a concurrently stored reference must publish its
+      // referent's table entry and zeroed payload before we push it.
+      // Reference arrays take the word-at-a-time range path: one bitmap
+      // fetch_or per touched mark word instead of one per slot, with
+      // callback order equal to the slot-by-slot loop's.
       const ObjRef *Slots = Obj.refs();
       if (Obj.Kind == ObjectKind::RefArray)
         M.H.markRangeWords(Slots, Obj.NumRefs,
@@ -147,10 +158,8 @@ protected:
 
   // --- The grey source, supplied by each marker ---------------------------
 
-  /// Serial refill: greys the source's next item onto MarkStack, adding
-  /// its work to \p Work. \returns false when the source is empty.
-  virtual bool refill(size_t &Work) = 0;
-  /// Parallel refill into \p W. \returns false when \p W found no work.
+  /// Greys the source's next item into \p W. \returns false when \p W
+  /// found no work.
   virtual bool refill(Worker &W) = 0;
   /// Whether the source still holds work (the termination re-check).
   virtual bool hasPendingSource() = 0;
@@ -165,69 +174,48 @@ protected:
   /// barrier. \returns \p Pause.
   size_t stopMarking(size_t Pause);
 
+  /// The one claim test: \returns true iff \p R is a live object whose
+  /// mark bit this caller set. A plain load skips marked objects before
+  /// the atomic RMW.
+  bool tryClaim(ObjRef R) {
+    return R != NullRef && H.isLive(R) && !H.isMarked(R) && H.tryClaimMark(R);
+  }
+  /// Greys \p R onto MarkStack (roots staged in a pause).
   void pushIfUnmarked(ObjRef R, size_t &Work) {
-    if (R == NullRef || !H.isLive(R) || H.isMarked(R))
+    if (!tryClaim(R))
       return;
-    H.setMarked(R);
     ++Counts.MarkedObjects;
     ++Work;
     MarkStack.push_back(R);
   }
-  /// Greys every unmarked referent of \p Obj onto MarkStack.
-  void scanSlots(const HeapObject &Obj, size_t &Work) {
-    // Acquire per slot: a concurrently stored reference must publish its
-    // referent's table entry and zeroed payload before we push it.
-    const ObjRef *Slots = Obj.refs();
-    if (Obj.Kind == ObjectKind::RefArray) {
-      // Reference arrays take the word-at-a-time range path: one bitmap
-      // fetch_or per touched mark word instead of one test-and-set per
-      // slot, with callback order equal to the slot-by-slot loop's.
-      H.markRangeWords(Slots, Obj.NumRefs, [&](ObjRef V) {
-        ++Counts.MarkedObjects;
-        ++Work;
-        MarkStack.push_back(V);
-      });
-    } else {
-      for (uint32_t I = 0, E = Obj.NumRefs; I != E; ++I)
-        pushIfUnmarked(loadRefAcquire(&Slots[I]), Work);
-    }
-  }
-  /// Traces one grey object. The tracing state brackets the scan for the
-  /// SATB rearrangement protocol (SatbMarker::exitRearrange).
-  void scanObject(ObjRef R, size_t &Work) {
-    HeapObject &Obj = H.object(R);
-    storeTracingRelaxed(Obj, TraceState::Tracing);
-    scanSlots(Obj, Work);
-    storeTracingRelaxed(Obj, TraceState::Traced);
-    bumpTrace(R);
-    ++Work;
-  }
-  void bumpTrace(ObjRef R) {
-    if (TraceCounts && R < TraceCountCap)
-      TraceCounts[R].fetch_add(1, std::memory_order_relaxed);
-  }
 
-  /// Serial drain: traces MarkStack, refilling from the grey source, until
-  /// both are empty or \p Work reaches \p Budget.
-  void drain(size_t &Work, size_t Budget);
-  /// Drains every grey object and the whole grey source, serially or over
-  /// MarkThreads workers. Pause-only: mutators must be stopped.
+  /// Drains every grey object and the whole grey source. Pause-only:
+  /// mutators must be stopped.
   void drainAll(size_t &Work);
-  /// Seeds the grey queue from MarkStack, runs MarkThreads workers to a
-  /// per-worker \p Budget (\p ToCompletion ignores the budget), and folds
-  /// worker totals into the stats. \returns the summed work units.
-  size_t parallelDrain(size_t Budget, bool ToCompletion);
 
   Heap &H;
   MarkStats &Counts;
   std::atomic<bool> Active{false};
-  /// Marker-thread private.
+  /// The grey stack of the begin and finish pauses, which the next drain
+  /// picks up. With MarkThreads == 1 it is also the lone worker's stack,
+  /// kept between markStep calls.
   std::vector<ObjRef> MarkStack;
   unsigned MarkThreads = 1;
 
 private:
-  void parallelWorker(Worker &W, size_t Budget, bool ToCompletion,
-                      TerminationGate &Gate);
+  /// Runs MarkThreads workers (one inline on the caller, or a gang on the
+  /// pool seeded from MarkStack through the grey queue), each to
+  /// \p Budget work units, and folds their totals into the stats.
+  /// \returns the summed work units.
+  size_t runWorkers(size_t Budget, bool Pause);
+  /// The tracing loop: pops and scans grey objects, refilling from the
+  /// hand-off queue and the grey source, until \p W.Work reaches \p Budget
+  /// or no work remains (for a gang, once the termination gate agrees).
+  void traceLoop(Worker &W, size_t Budget);
+  void bumpTrace(ObjRef R) {
+    if (TraceCounts && R < TraceCountCap)
+      TraceCounts[R].fetch_add(1, std::memory_order_relaxed);
+  }
 
   const bool SnapshotAtBegin;
   ThreadPool *MarkPool = nullptr;

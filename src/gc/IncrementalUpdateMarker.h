@@ -13,8 +13,8 @@
 ///
 /// The tracing itself is the shared marking core (gc/ConcurrentMarker.h);
 /// this marker adds its grey source (dirty cards, claimed with
-/// testAndClean), its barrier entry (recordWrite), and the root rescan
-/// plus card fixpoint of its final pause.
+/// testAndClean), its barrier entry (recordWrite), and the root rescan of
+/// its final pause.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +33,8 @@ namespace satb {
 /// testAndClean() an acq_rel exchange, so observing a dirty card also
 /// observes the slot store that preceded it in the barrier ("store the
 /// reference, then dirty the card"). A dirty the exchange races past
-/// survives as a 1 for the next scan pass; the final pause iterates with
-/// the world stopped until no pass finds one.
+/// survives as a 1 for a later scan; the final pause drains with the
+/// world stopped, so a card it cleans stays clean.
 class CardTable {
 public:
   static constexpr uint32_t CardShift = 7; ///< 128 objects per card
@@ -92,8 +92,7 @@ private:
 };
 
 struct IncUpdateStats : MarkStats {
-  uint64_t CardsDirtied = 0;    ///< barrier executions
-  uint64_t FinalPausePasses = 0;
+  uint64_t CardsDirtied = 0; ///< barrier executions
 };
 
 class IncrementalUpdateMarker : public ConcurrentMarker {
@@ -113,26 +112,18 @@ public:
     __atomic_fetch_add(&Stats.CardsDirtied, uint64_t(1), __ATOMIC_RELAXED);
   }
 
-  /// Final stop-the-world pause: re-scan roots and iterate dirty-card
-  /// scanning to a clean table. \returns the pause work.
+  /// Final stop-the-world pause: re-scan roots, then drain the grey
+  /// stacks and the dirty cards to a clean table. \returns the pause work.
   size_t finishMarking(const std::vector<ObjRef> &MutatorRoots) override;
 
   const IncUpdateStats &stats() const { return Stats; }
 
 private:
   // The grey source: dirty cards.
-  bool refill(size_t &Work) override;
+  /// Cleans the next dirty card and re-examines every marked object on
+  /// it, counting one unit per object.
   bool refill(Worker &W) override;
   bool hasPendingSource() override { return Cards.anyDirty(); }
-
-  /// Cleans \p Card and re-examines every marked object on it through
-  /// \p ScanMarked, counting one unit per object. \returns false when the
-  /// card was already clean (another worker claimed it).
-  template <typename ScanFn>
-  bool rescanCard(uint32_t Card, size_t &Work, ScanFn ScanMarked);
-  /// Rescans the first dirty card at or after \p From (wrapping).
-  template <typename ScanFn>
-  bool rescanFirstDirty(uint32_t From, size_t &Work, ScanFn ScanMarked);
 
   IncUpdateStats Stats;
   CardTable Cards;

@@ -72,7 +72,6 @@ public:
   /// remembered set. False (the default) forces wholesale promotion —
   /// sound under any barrier mode, just less precise.
   void setRemSetValid(bool V) { RemSetValid = V; }
-  bool remSetValid() const { return RemSetValid; }
 
   /// Pre-sizes the remembered set (multi-mutator mode fixes heap capacity
   /// up front; mirrors CardTable::ensureCapacity semantics).

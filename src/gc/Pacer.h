@@ -134,7 +134,6 @@ public:
     return true;
   }
 
-  bool inCycle() const { return InCycle; }
   uint64_t liveHighWater() const { return HighWater; }
   const PacerStats &stats() const { return S; }
 

@@ -20,16 +20,6 @@ bool SatbMarker::popBuffer(std::vector<ObjRef> &Out) {
   return true;
 }
 
-bool SatbMarker::refill(size_t &Work) {
-  std::vector<ObjRef> Buf;
-  if (!popBuffer(Buf))
-    return false;
-  for (ObjRef Pre : Buf)
-    pushIfUnmarked(Pre, Work);
-  ++Work;
-  return true;
-}
-
 bool SatbMarker::refill(Worker &W) {
   std::vector<ObjRef> Buf;
   if (!popBuffer(Buf))
@@ -129,7 +119,8 @@ size_t SatbMarker::finishMarking() {
   size_t Pause = 0;
   flushCurrentBuffer();
   // Rearrangement loops still in flight, plus every array whose loop
-  // overlapped the marker, are rescanned conservatively inside the pause.
+  // overlapped the marker, are rescanned conservatively inside the pause:
+  // each still-live one goes back on the grey stack for the drain.
   {
     std::lock_guard<std::mutex> Lock(RearrangeMutex);
     for (const auto &[Arr, State] : ActiveRearranges) {
@@ -138,12 +129,9 @@ size_t SatbMarker::finishMarking() {
       RetraceList.push_back(Arr);
     }
     ActiveRearranges.clear();
-    for (ObjRef Arr : RetraceList) {
-      if (HeapObject *Obj = H.objectOrNull(Arr)) {
-        scanSlots(*Obj, Pause);
-        ++Pause;
-      }
-    }
+    for (ObjRef Arr : RetraceList)
+      if (H.objectOrNull(Arr))
+        MarkStack.push_back(Arr);
     RetraceList.clear();
   }
   drainAll(Pause);

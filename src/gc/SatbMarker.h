@@ -104,7 +104,6 @@ public:
 
 private:
   // The grey source: completed pre-value buffers.
-  bool refill(size_t &Work) override;
   bool refill(Worker &W) override;
   bool hasPendingSource() override;
   bool popBuffer(std::vector<ObjRef> &Out);

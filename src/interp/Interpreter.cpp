@@ -64,15 +64,6 @@ void Interpreter::start(MethodId Entry, const std::vector<int64_t> &IntArgs) {
 
 RunStatus Interpreter::step(uint64_t MaxSteps) {
   for (uint64_t I = 0; I != MaxSteps && Status == RunStatus::Running; ++I) {
-    // Safepoint poll at branch/call boundaries, mirroring the fast
-    // engine's translated Safepoint sites: suspend (Status Running)
-    // before executing the branch or call.
-    if (SafepointReq && SafepointReq->load(std::memory_order_relaxed)) {
-      const Frame &F = Frames.back();
-      Opcode Op = F.CM->Body.Instructions[F.PC].Op;
-      if (isBranch(Op) || Op == Opcode::Invoke)
-        break;
-    }
     ++Steps;
     if (!stepOne())
       break;

@@ -71,13 +71,6 @@ public:
   /// component still goes through the attached SatbMarker).
   void attachGen(MinorGC *M) { Gen = M; }
 
-  /// Arms safepoint polling: step() returns (Status still Running) when
-  /// \p Flag is set and the next instruction is a branch or call — the
-  /// same park points the fast engine's translated Safepoint polls give.
-  /// The reference engine stays the single-mutator oracle; this exists so
-  /// both engines expose one suspension interface.
-  void attachSafepoint(const std::atomic<bool> *Flag) { SafepointReq = Flag; }
-
   /// Begins execution of \p Entry. \p IntArgs fill the method's (int-only)
   /// parameters; missing args default to 0.
   void start(MethodId Entry, const std::vector<int64_t> &IntArgs = {});
@@ -158,7 +151,6 @@ private:
   SatbMarker *Satb = nullptr;
   IncrementalUpdateMarker *Inc = nullptr;
   MinorGC *Gen = nullptr;
-  const std::atomic<bool> *SafepointReq = nullptr;
 
   std::vector<Frame> Frames;
   RunStatus Status = RunStatus::NotStarted;

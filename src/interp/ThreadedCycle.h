@@ -57,12 +57,12 @@ struct MultiMutatorConfig {
   uint32_t HeapCapacityRefs = 1u << 20;
   /// Per-context SATB buffer capacity (flush granularity).
   size_t SatbBufferCap = 64;
-  /// Mark worker threads (the markers' MarkThreads knob). 1 = the serial
-  /// marker on the coordinator, bit-identical to PR 3 behaviour; > 1
-  /// spins up a dedicated ThreadPool and both concurrent mark steps and
-  /// the final termination drain run over sharded mark stacks (see
-  /// DESIGN.md "Parallel marking"). The coordinator participates as one
-  /// of the workers.
+  /// Mark worker threads (the markers' MarkThreads knob). 1 = one mark
+  /// worker inline on the coordinator, with no hand-off queue and no
+  /// termination gate; > 1 spins up a dedicated ThreadPool and both
+  /// concurrent mark steps and the final termination drain run over
+  /// sharded mark stacks (see DESIGN.md "Parallel marking"). The
+  /// coordinator participates as one of the workers.
   unsigned MarkThreads = 1;
   /// Superinstruction fusion for the internal translation (forwarded to
   /// TranslateOptions::Fuse). Defaults to the process-wide default, so

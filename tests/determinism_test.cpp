@@ -109,7 +109,7 @@ namespace {
 /// Serial-marker work counts of one deterministic concurrent cycle.
 struct PinnedCycle {
   uint64_t OracleLive, Marked, FinalPauseWork, Swept, ConcurrentWork;
-  uint64_t LoggedOrPasses; ///< SATB: LoggedPreValues; IU: FinalPausePasses
+  uint64_t LoggedPreValues = 0; ///< SATB only
 };
 
 PinnedCycle runPinnedCycle(const Workload &W, bool Satb) {
@@ -132,13 +132,12 @@ PinnedCycle runPinnedCycle(const Workload &W, bool Satb) {
     I.attachSatb(&M);
     R = runWithConcurrentCycle(I, M, H, W.Entry, {1500}, RC);
     P.ConcurrentWork = M.stats().ConcurrentWork;
-    P.LoggedOrPasses = M.stats().LoggedPreValues;
+    P.LoggedPreValues = M.stats().LoggedPreValues;
   } else {
     IncrementalUpdateMarker M(H);
     I.attachIncUpdate(&M);
     R = runWithConcurrentCycle(I, M, H, W.Entry, {1500}, RC);
     P.ConcurrentWork = M.stats().ConcurrentWork;
-    P.LoggedOrPasses = M.stats().FinalPausePasses;
   }
   EXPECT_TRUE(R.OracleHolds) << W.Name;
   EXPECT_EQ(R.Status, RunStatus::Finished) << W.Name;
@@ -165,14 +164,13 @@ TEST(Determinism, SerialMarkerCountsPinned) {
        {369, 369, 27, 134, 703, 15},
        {167, 167, 1, 289, 330, 65},
        {201, 201, 1, 0, 396, 90}},
-      // OracleLive, Marked, FinalPauseWork, Swept, ConcurrentWork,
-      // FinalPausePasses
-      {{266, 267, 0, 46, 835, 1},
-       {136, 298, 6, 28, 32397, 2},
-       {183, 184, 6, 62, 981, 2},
-       {421, 426, 12, 157, 1412, 2},
-       {202, 202, 0, 289, 1249, 1},
-       {1504, 1504, 1249, 0, 344506, 2}}};
+      // OracleLive, Marked, FinalPauseWork, Swept, ConcurrentWork
+      {{266, 267, 0, 46, 835},
+       {136, 298, 6, 28, 32397},
+       {183, 184, 6, 62, 981},
+       {421, 426, 12, 157, 1412},
+       {202, 202, 0, 289, 1249},
+       {1504, 1504, 1249, 0, 344506}}};
   std::vector<Workload> All = allWorkloads();
   ASSERT_EQ(All.size(), 6u);
   for (int Kind = 0; Kind != 2; ++Kind)
@@ -185,6 +183,6 @@ TEST(Determinism, SerialMarkerCountsPinned) {
       EXPECT_EQ(P.FinalPauseWork, E.FinalPauseWork) << What;
       EXPECT_EQ(P.Swept, E.Swept) << What;
       EXPECT_EQ(P.ConcurrentWork, E.ConcurrentWork) << What;
-      EXPECT_EQ(P.LoggedOrPasses, E.LoggedOrPasses) << What;
+      EXPECT_EQ(P.LoggedPreValues, E.LoggedPreValues) << What;
     }
 }

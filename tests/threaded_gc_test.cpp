@@ -554,13 +554,22 @@ struct ReplayGraph {
 
 } // namespace
 
+/// A replay input: mark workers and the markStep budget. Budget 1 parks
+/// the lone worker's stack between every object.
+struct ReplayRun {
+  unsigned M;
+  size_t Budget;
+};
+constexpr ReplayRun ReplayRuns[] = {{1, 64}, {1, 1}, {2, 64}, {4, 64}};
+
 TEST(ParallelMark, SatbBitIdenticalToSerialOnRecordedLog) {
   // The same snapshot roots and the same recorded SATB log must produce a
-  // bit-identical mark bitmap whether one worker drains or four do.
+  // bit-identical mark bitmap whether one worker drains or four do, and
+  // whatever the step budget.
   ReplayGraph G(42);
   std::vector<bool> Serial;
   uint64_t SerialMarked = 0;
-  for (unsigned M : {1u, 2u, 4u}) {
+  for (auto [M, Budget] : ReplayRuns) {
     ThreadPool Pool(M);
     SatbMarker Marker(*G.H, 64);
     if (M > 1)
@@ -569,7 +578,7 @@ TEST(ParallelMark, SatbBitIdenticalToSerialOnRecordedLog) {
     Marker.beginMarking(G.Roots);
     std::vector<ObjRef> LogCopy = G.Log;
     Marker.flushBuffer(std::move(LogCopy));
-    while (!Marker.markStep(64))
+    while (!Marker.markStep(Budget))
       ;
     Marker.finishMarking();
     std::vector<bool> Marked = G.markBitmap();
@@ -577,13 +586,14 @@ TEST(ParallelMark, SatbBitIdenticalToSerialOnRecordedLog) {
     // allocated during this cycle, so born-marked objects don't exist).
     for (ObjRef R = 1; R <= G.H->maxRef(); ++R)
       ASSERT_EQ(Marker.traceCount(R), Marked[R] ? 1u : 0u)
-          << "object " << R << " at M=" << M;
-    if (M == 1) {
+          << "object " << R << " at M=" << M << " budget " << Budget;
+    if (Serial.empty()) {
       Serial = Marked;
       SerialMarked = Marker.stats().MarkedObjects;
       EXPECT_GT(SerialMarked, 0u);
     } else {
-      EXPECT_EQ(Marked, Serial) << "mark bitmap diverged at M=" << M;
+      EXPECT_EQ(Marked, Serial)
+          << "mark bitmap diverged at M=" << M << " budget " << Budget;
       EXPECT_EQ(Marker.stats().MarkedObjects, SerialMarked);
     }
     G.H->clearMarks();
@@ -594,9 +604,9 @@ TEST(ParallelMark, IncUpdateBitIdenticalToSerialOnRecordedWrites) {
   // Same shape for the incremental-update marker: identical roots and an
   // identical recorded mutation sequence (slot stores + card dirtying
   // between the root scan and the drain) must mark the same set for every
-  // MarkThreads value.
+  // MarkThreads value and step budget.
   std::vector<bool> Serial;
-  for (unsigned M : {1u, 2u, 4u}) {
+  for (auto [M, Budget] : ReplayRuns) {
     ReplayGraph G(99); // fresh heap per run so card state starts clean
     ThreadPool Pool(M);
     IncrementalUpdateMarker Marker(*G.H);
@@ -612,15 +622,17 @@ TEST(ParallelMark, IncUpdateBitIdenticalToSerialOnRecordedWrites) {
       G.H->object(Src).refs()[Rng() % 2] = Dst;
       Marker.recordWrite(Src);
     }
-    while (!Marker.markStep(64))
+    while (!Marker.markStep(Budget))
       ;
     Marker.finishMarking(G.Roots);
     for (ObjRef R = 1; R <= G.H->maxRef(); ++R)
-      ASSERT_LE(Marker.traceCount(R), 1u) << "object " << R << " at M=" << M;
+      ASSERT_LE(Marker.traceCount(R), 1u)
+          << "object " << R << " at M=" << M << " budget " << Budget;
     std::vector<bool> Marked = G.markBitmap();
-    if (M == 1)
+    if (Serial.empty())
       Serial = Marked;
     else
-      EXPECT_EQ(Marked, Serial) << "mark bitmap diverged at M=" << M;
+      EXPECT_EQ(Marked, Serial)
+          << "mark bitmap diverged at M=" << M << " budget " << Budget;
   }
 }
