@@ -49,21 +49,17 @@ MethodId buildSized(Program &P, ClassId Pair, FieldId A, FieldId Bf,
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   Program P;
   ClassId Pair = P.addClass("Pair");
   FieldId A = P.addField(Pair, "a", JType::Ref);
   FieldId Bf = P.addField(Pair, "b", JType::Ref);
 
-  JsonBench Json(argc, argv, "analysis_scaling", 256);
-  if (!Json.quiet()) {
-    std::printf(
-        "Analysis time vs. method size (mode A, three-run minimum)\n");
-    printRule(76);
-    std::printf("%10s %12s %14s %14s %10s\n", "bytecodes", "sites",
-                "analysis us", "us/bytecode", "exponent");
-    printRule(76);
-  }
+  std::printf("Analysis time vs. method size (mode A, three-run minimum)\n");
+  printRule(76);
+  std::printf("%10s %12s %14s %14s %10s\n", "bytecodes", "sites",
+              "analysis us", "us/bytecode", "exponent");
+  printRule(76);
 
   double PrevTime = 0;
   uint32_t PrevSize = 0;
@@ -73,40 +69,27 @@ int main(int argc, char **argv) {
     const Method &M = P.method(Id);
     AnalysisConfig Cfg;
     double Best = 1e30;
-    uint32_t Sites = 0, Visits = 0, Elided = 0;
+    uint32_t Sites = 0;
     for (int Rep = 0; Rep != 3; ++Rep) {
       AnalysisResult R = analyzeBarriers(P, M, Cfg);
       Best = std::min(Best, R.AnalysisTimeUs);
       Sites = R.NumSites;
-      Visits = R.BlockVisits;
-      Elided = R.NumElided;
     }
     uint32_t Size = M.byteCodeSize();
     double Exp = PrevTime > 0
                      ? std::log(Best / PrevTime) /
                            std::log(static_cast<double>(Size) / PrevSize)
                      : 0.0;
-    if (!Json.quiet())
-      std::printf("%10u %12u %14.1f %14.3f %10.2f\n", Size, Sites, Best,
-                  Best / Size, Exp);
-    Json.beginRow();
-    Json.field("bytecodes", Size);
-    Json.field("sites", Sites);
-    Json.field("wall_us", Best);
-    Json.field("blocks_visited", Visits);
-    Json.field("sites_elided", Elided);
-    Json.field("exponent", Exp);
-    Json.endRow();
+    std::printf("%10u %12u %14.1f %14.3f %10.2f\n", Size, Sites, Best,
+                Best / Size, Exp);
     PrevTime = Best;
     PrevSize = Size;
   }
-  if (!Json.quiet()) {
-    printRule(76);
-    std::printf("Shape check: the growth exponent stays far below the "
-                "paper's O(n^5) worst case\n(near-quadratic here: more "
-                "allocation sites widen the abstract store each block\n"
-                "touches), matching 'in practice, performance is much "
-                "better than this bound'.\n");
-  }
+  printRule(76);
+  std::printf("Shape check: the growth exponent stays far below the "
+              "paper's O(n^5) worst case\n(near-quadratic here: more "
+              "allocation sites widen the abstract store each block\n"
+              "touches), matching 'in practice, performance is much "
+              "better than this bound'.\n");
   return 0;
 }

@@ -42,47 +42,29 @@ double compileSuiteUs(const std::vector<Workload> &All, unsigned Threads,
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   std::vector<Workload> All = allWorkloads();
-  JsonBench Json(argc, argv, "compile_parallel",
-                 static_cast<int64_t>(All.size()));
 
   const unsigned HwThreads = ThreadPool::defaultThreadCount();
   const int Reps = 5;
   double SerialUs = compileSuiteUs(All, 1, Reps);
-  if (!Json.quiet()) {
-    std::printf("Workload-suite compile wall time vs. CompileThreads "
-                "(best of %d, %u hardware threads)\n",
-                Reps, HwThreads);
-    if (HwThreads <= 1)
-      std::printf("note: 1-CPU container, speedup not meaningful — worker "
-                  "pools only add scheduling overhead here\n");
-    printRule(56);
-    std::printf("%10s %14s %10s\n", "threads", "compile us", "speedup");
-    printRule(56);
-    std::printf("%10u %14.1f %10.2f\n", 1u, SerialUs, 1.0);
-  }
-  Json.beginRow();
-  Json.field("threads", uint32_t(1));
-  Json.field("hw_threads", HwThreads);
-  Json.field("wall_us", SerialUs);
-  Json.field("speedup", 1.0);
-  Json.endRow();
+  std::printf("Workload-suite compile wall time vs. CompileThreads "
+              "(best of %d, %u hardware threads)\n",
+              Reps, HwThreads);
+  if (HwThreads <= 1)
+    std::printf("note: 1-CPU container, speedup not meaningful — worker "
+                "pools only add scheduling overhead here\n");
+  printRule(56);
+  std::printf("%10s %14s %10s\n", "threads", "compile us", "speedup");
+  printRule(56);
+  std::printf("%10u %14.1f %10.2f\n", 1u, SerialUs, 1.0);
 
   for (unsigned Threads : {2u, 4u, HwThreads}) {
     if (Threads <= 1)
       continue;
     double Us = compileSuiteUs(All, Threads, Reps);
-    if (!Json.quiet())
-      std::printf("%10u %14.1f %10.2f\n", Threads, Us, SerialUs / Us);
-    Json.beginRow();
-    Json.field("threads", Threads);
-    Json.field("hw_threads", HwThreads);
-    Json.field("wall_us", Us);
-    Json.field("speedup", SerialUs / Us);
-    Json.endRow();
+    std::printf("%10u %14.1f %10.2f\n", Threads, Us, SerialUs / Us);
   }
-  if (!Json.quiet())
-    printRule(56);
+  printRule(56);
   return 0;
 }

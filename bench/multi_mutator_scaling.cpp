@@ -11,9 +11,6 @@
 /// Every run asserts the snapshot oracle and zero elision violations —
 /// an unsound configuration must not report numbers.
 ///
-/// JSON rows (SATB_BENCH_JSON=BENCH_multimutator.json or --json) carry
-/// mutators/hw_threads/wall_us/steps/steps_per_sec/oracle per N.
-///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -26,7 +23,7 @@
 using namespace satb;
 using namespace satb::bench;
 
-int main(int argc, char **argv) {
+int main() {
   int64_t Scale = benchScale(4000);
   Workload W = makeJbbLike();
   CompilerOptions Opts;
@@ -34,19 +31,16 @@ int main(int argc, char **argv) {
   CompiledProgram CP = compileProgram(*W.P, Opts);
 
   const unsigned HwThreads = std::thread::hardware_concurrency();
-  JsonBench Json(argc, argv, "multi_mutator_scaling", Scale);
-  if (!Json.quiet()) {
-    std::printf("Aggregate mutator throughput under one concurrent SATB "
-                "cycle (jbb, scale %lld, %u hardware threads)\n",
-                static_cast<long long>(Scale), HwThreads);
-    if (HwThreads <= 1)
-      std::printf("note: 1-CPU container, scaling not meaningful — mutators "
-                  "time-slice one core and only add handshake overhead\n");
-    printRule(70);
-    std::printf("%10s %14s %16s %16s %8s\n", "mutators", "wall us",
-                "total steps", "steps/sec", "oracle");
-    printRule(70);
-  }
+  std::printf("Aggregate mutator throughput under one concurrent SATB "
+              "cycle (jbb, scale %lld, %u hardware threads)\n",
+              static_cast<long long>(Scale), HwThreads);
+  if (HwThreads <= 1)
+    std::printf("note: 1-CPU container, scaling not meaningful — mutators "
+                "time-slice one core and only add handshake overhead\n");
+  printRule(70);
+  std::printf("%10s %14s %16s %16s %8s\n", "mutators", "wall us",
+              "total steps", "steps/sec", "oracle");
+  printRule(70);
 
   double BaselineStepsPerSec = 0;
   for (unsigned N : {1u, 2u, 4u}) {
@@ -69,24 +63,13 @@ int main(int argc, char **argv) {
     double StepsPerSec = TotalSteps / (WallUs / 1e6);
     if (N == 1)
       BaselineStepsPerSec = StepsPerSec;
-    if (!Json.quiet())
-      std::printf("%10u %14.1f %16llu %16.0f %8s\n", N, WallUs,
-                  static_cast<unsigned long long>(TotalSteps), StepsPerSec,
-                  R.OracleHolds ? "holds" : "FAILS");
-    Json.beginRow();
-    Json.field("mutators", N);
-    Json.field("hw_threads", HwThreads);
-    Json.field("wall_us", WallUs);
-    Json.field("steps", TotalSteps);
-    Json.field("steps_per_sec", StepsPerSec);
-    Json.field("oracle", uint64_t(R.OracleHolds));
-    Json.endRow();
+    std::printf("%10u %14.1f %16llu %16.0f %8s\n", N, WallUs,
+                static_cast<unsigned long long>(TotalSteps), StepsPerSec,
+                R.OracleHolds ? "holds" : "FAILS");
   }
-  if (!Json.quiet()) {
-    printRule(70);
-    std::printf("scaling vs. 1 mutator uses aggregate steps/sec "
-                "(baseline %.0f)\n",
-                BaselineStepsPerSec);
-  }
+  printRule(70);
+  std::printf("scaling vs. 1 mutator uses aggregate steps/sec "
+              "(baseline %.0f)\n",
+              BaselineStepsPerSec);
   return 0;
 }

@@ -4,16 +4,13 @@
 /// Mark-phase wall time as the mark-worker count grows: one fixed object
 /// graph (a fanout-8 tree with extra cross edges, every node reachable
 /// from the root), marked to completion by the SATB marker with
-/// MarkThreads in {1, 2, 4}. M = 1 runs the serial marker unchanged;
-/// M > 1 drains over sharded grey stacks with the locked segment hand-off
-/// queue (DESIGN.md "Parallel marking"). Every run asserts the full graph
-/// got marked — a marker that loses objects must not report numbers.
-///
-/// JSON rows (SATB_BENCH_JSON=BENCH_parallelmark.json or --json) carry
-/// mark_threads/hw_threads/objects/wall_us/marked/speedup per M. As with
-/// compile_parallel and multi_mutator_scaling, speedup is only meaningful
-/// on a multi-core host; a 1-CPU container reports honestly (hw_threads
-/// says what the row means).
+/// MarkThreads in {1, 2, 4}. M = 1 runs the one worker inline on the
+/// calling thread; M > 1 drains over sharded grey stacks with the locked
+/// segment hand-off queue (DESIGN.md "Parallel marking"). Every run
+/// exits 1 unless the full graph got marked — a marker that loses
+/// objects must not report numbers. As with compile_parallel and
+/// multi_mutator_scaling, speedup is only meaningful on a multi-core
+/// host; the header prints the hardware thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +26,9 @@
 using namespace satb;
 using namespace satb::bench;
 
-int main(int argc, char **argv) {
+int main() {
   const int64_t Scale = benchScale(200000); // objects in the graph
   const unsigned HwThreads = std::thread::hardware_concurrency();
-  JsonBench Json(argc, argv, "parallel_mark_scaling", Scale);
 
   // Build the graph once: a fanout-8 tree (slots 0..7 are the children)
   // and, via an extra array per node, two cross edges to random earlier
@@ -55,18 +51,16 @@ int main(int argc, char **argv) {
   }
   const std::vector<ObjRef> Roots{Nodes[0]};
 
-  if (!Json.quiet()) {
-    std::printf("SATB mark-phase wall time vs. mark threads "
-                "(%zu objects, %u hardware threads)\n",
-                N, HwThreads);
-    if (HwThreads <= 1)
-      std::printf("note: 1-CPU container, scaling not meaningful — workers "
-                  "time-slice one core and only add hand-off overhead\n");
-    printRule(70);
-    std::printf("%12s %14s %12s %10s\n", "mark threads", "wall us", "marked",
-                "speedup");
-    printRule(70);
-  }
+  std::printf("SATB mark-phase wall time vs. mark threads "
+              "(%zu objects, %u hardware threads)\n",
+              N, HwThreads);
+  if (HwThreads <= 1)
+    std::printf("note: 1-CPU container, scaling not meaningful — workers "
+                "time-slice one core and only add hand-off overhead\n");
+  printRule(70);
+  std::printf("%12s %14s %12s %10s\n", "mark threads", "wall us", "marked",
+              "speedup");
+  printRule(70);
 
   double BaseUs = 0;
   for (unsigned M : {1u, 2u, 4u}) {
@@ -87,20 +81,10 @@ int main(int argc, char **argv) {
     }
     if (M == 1)
       BaseUs = WallUs;
-    double Speedup = WallUs > 0 ? BaseUs / WallUs : 0;
-    if (!Json.quiet())
-      std::printf("%12u %14.1f %12llu %10.2f\n", M, WallUs,
-                  static_cast<unsigned long long>(Marked), Speedup);
-    Json.beginRow();
-    Json.field("mark_threads", M);
-    Json.field("hw_threads", HwThreads);
-    Json.field("objects", static_cast<uint64_t>(N));
-    Json.field("wall_us", WallUs);
-    Json.field("marked", Marked);
-    Json.field("speedup", Speedup);
-    Json.endRow();
+    std::printf("%12u %14.1f %12llu %10.2f\n", M, WallUs,
+                static_cast<unsigned long long>(Marked),
+                WallUs > 0 ? BaseUs / WallUs : 0);
   }
-  if (!Json.quiet())
-    printRule(70);
+  printRule(70);
   return 0;
 }

@@ -36,22 +36,19 @@ const PaperRow PaperRows[] = {
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   int64_t Scale = benchScale(20000);
   CompilerOptions Opts; // inline limit 100, mode A: the paper's setup
-  Opts.Interp = benchEngine();
+  Opts.Interp = InterpMode::Fast;
 
-  JsonBench Json(argc, argv, "table1_dynamic_elimination", Scale);
-  if (!Json.quiet()) {
-    std::printf("Table 1: Analysis results, dynamic  (scale %lld, %s engine; "
-                "ours vs. paper '[p]')\n",
-                static_cast<long long>(Scale), engineName(Opts.Interp));
-    printRule(98);
-    std::printf("%-6s %10s %7s %7s %9s %9s %9s %9s %9s %9s\n", "bench",
-                "total", "%elim", "[p]", "%potent", "[p]", "fld/arr", "[p]",
-                "f/a %el", "[p]");
-    printRule(98);
-  }
+  std::printf("Table 1: Analysis results, dynamic  (scale %lld, fast engine; "
+              "ours vs. paper '[p]')\n",
+              static_cast<long long>(Scale));
+  printRule(98);
+  std::printf("%-6s %10s %7s %7s %9s %9s %9s %9s %9s %9s\n", "bench",
+              "total", "%elim", "[p]", "%potent", "[p]", "fld/arr", "[p]",
+              "f/a %el", "[p]");
+  printRule(98);
 
   std::vector<Workload> All = allWorkloads();
   for (size_t I = 0; I != All.size(); ++I) {
@@ -59,20 +56,6 @@ int main(int argc, char **argv) {
     WorkloadRun R = runWorkload(W, Opts, Scale);
     const BarrierStats::Summary &S = R.Stats;
     const PaperRow &P = PaperRows[I];
-    Json.beginRow();
-    Json.field("bench", W.Name);
-    Json.field("engine", std::string(engineName(Opts.Interp)));
-    Json.field("wall_us", R.WallSeconds * 1e6);
-    Json.field("compile_wall_us", R.CompileWallUs);
-    Json.field("analysis_us", R.AnalysisUs);
-    Json.field("blocks_visited", R.BlocksVisited);
-    Json.field("sites", R.Sites);
-    Json.field("sites_elided", R.SitesElided);
-    Json.field("total_execs", S.TotalExecs);
-    Json.field("pct_elided", S.pctElided());
-    Json.endRow();
-    if (Json.quiet())
-      continue;
     char Split[16], PSplit[16], PerKind[24], PPerKind[24];
     std::snprintf(Split, sizeof(Split), "%d/%d",
                   static_cast<int>(100.0 * S.FieldExecs / S.TotalExecs + .5),
@@ -89,13 +72,11 @@ int main(int argc, char **argv) {
                 P.Elim, S.pctPotentiallyPreNull(), P.Potential, Split,
                 PSplit, PerKind, PPerKind);
   }
-  if (!Json.quiet()) {
-    printRule(98);
-    std::printf("Shape checks (paper Section 4.2): db lowest elimination; "
-                "mtrt highest, with the\nmajority of its eliminations array "
-                "stores; array elimination nonzero only in\njavac and mtrt; "
-                "every elimination within its potentially-pre-null bound; "
-                "zero\ndynamic violations (asserted by the harness).\n");
-  }
+  printRule(98);
+  std::printf("Shape checks (paper Section 4.2): db lowest elimination; "
+              "mtrt highest, with the\nmajority of its eliminations array "
+              "stores; array elimination nonzero only in\njavac and mtrt; "
+              "every elimination within its potentially-pre-null bound; "
+              "zero\ndynamic violations (asserted by the harness).\n");
   return 0;
 }

@@ -16,13 +16,13 @@
 /// end, and eliminating ~25% of jbb's barriers claws back about that
 /// fraction. Our substrate is an interpreter, so the absolute barrier
 /// share of runtime differs; the ordering and the claw-back shape are the
-/// reproduction targets. Timing runs use the engine from benchEngine()
-/// (fast by default — its barrier-specialized opcodes make the wall-clock
-/// delta closest to compiled code). The modeled RISC-instruction cost
-/// (Section 1's 9-12 instructions per executed barrier) only exists on
-/// the reference engine, so when timing runs on the fast engine a single
-/// deterministic reference side-run per mode fills those columns (the
-/// engines are observable-equivalent, so the counters are identical).
+/// reproduction targets. Timing runs use the fast engine (its
+/// barrier-specialized opcodes make the wall-clock delta closest to
+/// compiled code). The modeled RISC-instruction cost (Section 1's 9-12
+/// instructions per executed barrier) only exists on the reference
+/// engine, so a single deterministic reference side-run per mode fills
+/// those columns (the engines are observable-equivalent, so the
+/// counters are identical).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,15 +55,14 @@ struct ModeResult {
 int main() {
   int64_t Scale = benchScale(8000);
   const int Runs = 9;
-  const InterpMode Engine = benchEngine();
   // 180 pad iterations dilute the condensed workload's store density to
   // real-jbb levels: barriers end up costing a few percent of the modeled
   // machine instructions, like the paper's 2.5%.
   Workload W = makeJbbLike(/*PadIterations=*/180);
 
-  std::printf("Table 2: jbb end-to-end barrier cost (scale %lld, %s engine, "
+  std::printf("Table 2: jbb end-to-end barrier cost (scale %lld, fast engine, "
               "median CPU-time throughput of %d interleaved runs)\n",
-              static_cast<long long>(Scale), engineName(Engine), Runs);
+              static_cast<long long>(Scale), Runs);
 
   // The three modes are measured round-robin within each repetition (and a
   // discarded warmup repetition) so allocator/cache drift on a single core
@@ -80,22 +79,19 @@ int main() {
       CompilerOptions Opts;
       Opts.Barrier = Configs[M].Mode;
       Opts.ApplyElision = Configs[M].Elide;
-      Opts.Interp = Engine;
+      Opts.Interp = InterpMode::Fast;
       WorkloadRun Run = runWorkload(W, Opts, Scale);
       if (Rep < 0)
         continue; // warmup
       Results[M].Runs.push_back(static_cast<double>(Scale) /
                                 Run.CpuSeconds);
       Results[M].BarrierCost = Run.BarrierCostInstrs;
-      Results[M].ModeledInstrs = Run.ModeledInstrs;
       Results[M].ElimPct = Run.Stats.pctElided();
     }
   }
   // The fast engine does not model RISC instruction counts; one
   // deterministic (untimed) reference run per mode fills them in.
   for (int M = 0; M != 3; ++M) {
-    if (Results[M].ModeledInstrs != 0)
-      continue;
     CompilerOptions Opts;
     Opts.Barrier = Configs[M].Mode;
     Opts.ApplyElision = Configs[M].Elide;

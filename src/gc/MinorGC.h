@@ -53,7 +53,6 @@ struct MinorGCStats {
   uint64_t PromotedObjects = 0;
   uint64_t PromotedBytes = 0;
   uint64_t FreedYoung = 0;
-  uint64_t CardsDirtied = 0;        ///< remembered-set barrier executions
   uint64_t RemSetCardsScanned = 0;  ///< dirty cards processed
   uint64_t RemSetOldScanned = 0;    ///< old objects examined on dirty cards
   uint64_t RootYoung = 0;           ///< young refs found in roots/statics
@@ -79,10 +78,7 @@ public:
 
   /// The generational write barrier's slow path: old object \p Base just
   /// gained a young referent. Thread-safe (release byte store).
-  void recordOldToYoung(ObjRef Base) {
-    RemSet.dirty(Base);
-    __atomic_fetch_add(&Stats.CardsDirtied, uint64_t(1), __ATOMIC_RELAXED);
-  }
+  void recordOldToYoung(ObjRef Base) { RemSet.dirty(Base); }
 
   const CardTable &remSet() const { return RemSet; }
 

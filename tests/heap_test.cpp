@@ -317,7 +317,6 @@ TEST_F(HeapFixture, MinorGCPrecisionRemSetAndRoots) {
   EXPECT_EQ(S.WholesalePromotions, 0u);
   EXPECT_EQ(S.PromotedObjects, 3u);
   EXPECT_EQ(S.FreedYoung, 1u);
-  EXPECT_EQ(S.CardsDirtied, 1u);
   EXPECT_EQ(S.RemSetCardsScanned, 1u);
   EXPECT_GE(S.RemSetOldScanned, 1u);
   EXPECT_EQ(S.RootYoung, 1u);

@@ -255,7 +255,6 @@ void runBothWithNursery(const Program &P, const CompilerOptions &Opts,
     EXPECT_EQ(RefGC.PromotedObjects, GS.PromotedObjects) << Tag;
     EXPECT_EQ(RefGC.PromotedBytes, GS.PromotedBytes) << Tag;
     EXPECT_EQ(RefGC.FreedYoung, GS.FreedYoung) << Tag;
-    EXPECT_EQ(RefGC.CardsDirtied, GS.CardsDirtied) << Tag;
   }
 }
 

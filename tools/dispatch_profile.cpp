@@ -14,10 +14,10 @@
 ///
 /// Usage: dispatch_profile [scale] [--threshold=PCT]
 ///
-/// [scale] defaults to 2000, or SATB_BENCH_SCALE. --threshold=PCT (or
-/// SATB_PROFILE_THRESHOLD; the flag wins) suppresses rows whose share of
-/// dynamic adjacent pairs is below PCT — the tail is summarized instead
-/// of printed, with its aggregate coverage, so the cut is auditable.
+/// [scale] defaults to 2000. --threshold=PCT suppresses rows whose share
+/// of dynamic adjacent pairs is below PCT — the tail is summarized
+/// instead of printed, with its aggregate coverage, so the cut is
+/// auditable.
 ///
 /// A bulk-store program rides along with the Table 1 suite so the
 /// ArrayFill_*/ArrayCopy_* opcodes show up in the dump, and their
@@ -27,7 +27,8 @@
 /// the whole range, so fusing it with a neighbor buys nothing — the
 /// summary line keeps that exclusion auditable.
 ///
-/// CI's bench-smoke job uploads this dump as an artifact.
+/// Regenerate the pair profile DESIGN.md quotes with
+/// `dispatch_profile 500 --threshold=0.05`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,11 +82,7 @@ Workload makeBulkRider() {
 
 int main(int Argc, char **Argv) {
   int64_t Scale = 2000;
-  if (const char *Env = std::getenv("SATB_BENCH_SCALE"))
-    Scale = std::atoll(Env);
   double ThresholdPct = 0.0; // print everything by default
-  if (const char *Env = std::getenv("SATB_PROFILE_THRESHOLD"))
-    ThresholdPct = std::atof(Env);
   for (int I = 1; I != Argc; ++I) {
     const char *Arg = Argv[I];
     if (std::strncmp(Arg, "--threshold=", 12) == 0) {
