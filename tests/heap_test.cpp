@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 using namespace satb;
@@ -679,4 +680,114 @@ TEST_F(HeapFixture, WalksCoverWholeTableAfterExitMultiMutator) {
   EXPECT_EQ(H.sweepUnmarked(), 3u); // Mid, Post, Young
   EXPECT_TRUE(H.isLive(Pre));
   EXPECT_FALSE(H.isLive(Mid) || H.isLive(Post) || H.isLive(Young));
+}
+
+TEST_F(HeapFixture, FreeListReuseIsLifoAcrossSweepAndFree) {
+  // Pins the reuse order: refs and old-space blocks are handed out again
+  // last-freed first, whether free(R) or a sweep (ascending ObjRef order)
+  // released them, and nursery blocks never re-enter the old free lists.
+  // The model below replays every release into one ref stack and one
+  // block stack per byte size; the allocations must match it exactly.
+  Heap H(P);
+  Heap::NurseryConfig NC;
+  NC.NurseryBytes = 32; // room for exactly one 32-byte young block
+  NC.PretenureBytes = 32;
+  H.enableNursery(NC);
+
+  enum Kind { Obj32, Int56, Large, Int32, NumKinds };
+  auto Alloc = [&](Kind K) {
+    switch (K) {
+    case Obj32:
+      return H.allocateObject(C); // 16 + 2 * 4 + 8 = 32 bytes
+    case Int56:
+      return H.allocateIntArray(5);
+    case Large:
+      return H.allocateIntArray(200); // 1616 bytes, above the small classes
+    default:
+      return H.allocateIntArray(2);
+    }
+  };
+  constexpr ObjRef N = 200; // bitmap words 0..3
+  const Kind Pattern[3] = {Obj32, Int56, Int32};
+  for (ObjRef I = 1; I <= N; ++I)
+    ASSERT_EQ(Alloc(I == 100 ? Large : Pattern[I % 3]), I);
+  // The first 32-byte block fills the nursery; the rest are pretenured.
+  const ObjRef NurseryRef = 2;
+  ASSERT_TRUE(H.isYoung(NurseryRef));
+
+  std::vector<ObjRef> RefStack;
+  std::map<uint32_t, std::vector<const char *>> BlockStacks;
+  std::set<const char *> Released;
+  std::vector<ObjRef> Freed;
+  auto Model = [&](ObjRef R) {
+    const char *Mem = reinterpret_cast<const char *>(&H.object(R));
+    RefStack.push_back(R);
+    if (R != NurseryRef)
+      BlockStacks[H.object(R).blockBytes()].push_back(Mem);
+    Released.insert(Mem);
+    Freed.push_back(R);
+  };
+  auto FreeOne = [&](ObjRef R) {
+    Model(R);
+    H.free(R);
+  };
+  auto Sweep = [&](auto IsSurvivor) {
+    size_t Dead = 0, Live = 0;
+    for (ObjRef R = 1; R <= H.maxRef(); ++R) {
+      if (!H.isLive(R))
+        continue;
+      if (IsSurvivor(R)) {
+        H.setMarked(R);
+        ++Live;
+      } else {
+        Model(R);
+        ++Dead;
+      }
+    }
+    EXPECT_EQ(H.sweepUnmarked(), Dead);
+    EXPECT_EQ(H.numLive(), Live);
+  };
+
+  for (ObjRef R : {7u, NurseryRef, 150u, 100u, 40u})
+    FreeOne(R);
+  // Word 1 (refs 64..127) dies whole; word 0 keeps ref 0 out of the sweep.
+  Sweep([](ObjRef R) {
+    return (R >= 64 && R < 128) ? false : R < 64 ? R % 4 != 1 : R % 5 != 0;
+  });
+  for (ObjRef R : {3u, 189u, 128u})
+    FreeOne(R);
+  Sweep([](ObjRef R) { return R != 4 && R != 191 && R != 129; });
+
+  for (ObjRef R : Freed) {
+    EXPECT_EQ(H.objectOrNull(R), nullptr) << R;
+    EXPECT_FALSE(H.isLive(R) || H.isMarked(R) || H.isYoung(R)) << R;
+  }
+  EXPECT_EQ(H.numLive(), N - Freed.size());
+
+  // Each size class gets at least as many allocations as it had frees,
+  // so every list drains and the fresh carves after it are checked too.
+  const size_t Total = 2 * Freed.size() + 8;
+  ObjRef NextFresh = N + 1;
+  for (size_t I = 0; I != Total; ++I) {
+    Kind K = static_cast<Kind>(I % NumKinds);
+    ObjRef R = Alloc(K);
+    ASSERT_NE(R, NullRef);
+    const char *Mem = reinterpret_cast<const char *>(&H.object(R));
+    if (RefStack.empty()) {
+      EXPECT_EQ(R, NextFresh++) << "allocation " << I;
+    } else {
+      EXPECT_EQ(R, RefStack.back()) << "allocation " << I;
+      RefStack.pop_back();
+    }
+    std::vector<const char *> &Blocks = BlockStacks[H.object(R).blockBytes()];
+    if (Blocks.empty()) {
+      EXPECT_EQ(Released.count(Mem), 0u) << "allocation " << I;
+    } else {
+      EXPECT_EQ(Mem, Blocks.back()) << "allocation " << I;
+      Blocks.pop_back();
+    }
+  }
+  EXPECT_TRUE(RefStack.empty());
+  for (const auto &[Bytes, Blocks] : BlockStacks)
+    EXPECT_TRUE(Blocks.empty()) << Bytes;
 }
