@@ -5,6 +5,20 @@
 #include <algorithm>
 #include <new>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define SATB_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SATB_ASAN 1
+#endif
+#endif
+#ifdef SATB_ASAN
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#define ASAN_UNPOISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#endif
+
 using namespace satb;
 
 std::vector<FieldSlot> satb::computeFieldLayout(const Program &P) {
@@ -35,7 +49,6 @@ Heap::Heap(const Program &P) : P(P) {
   }
   StaticRefs.assign(P.numStatics(), NullRef);
   StaticInts.assign(P.numStatics(), 0);
-  SmallFree.resize(SmallClassBytes / 8 + 1);
   Table.push_back(nullptr); // ObjRef 0 is null
   LiveWords.push_back(0);
   MarkWords.push_back(0);
@@ -117,10 +130,10 @@ char *Heap::carveFromSlab(uint32_t Bytes) {
 char *Heap::oldBlockMem(uint32_t Bytes) {
   char *Mem = nullptr;
   if (Bytes <= SmallClassBytes) {
-    std::vector<char *> &Bucket = SmallFree[Bytes / 8];
-    if (!Bucket.empty()) {
-      Mem = Bucket.back();
-      Bucket.pop_back();
+    char *&Head = SmallFree[Bytes / 8];
+    if (Head) {
+      Mem = Head;
+      std::memcpy(&Head, Mem, sizeof(char *));
     }
   } else {
     for (size_t I = 0, E = LargeFree.size(); I != E; ++I) {
@@ -133,7 +146,8 @@ char *Heap::oldBlockMem(uint32_t Bytes) {
     }
   }
   if (!Mem)
-    Mem = carveFromSlab(Bytes);
+    return carveFromSlab(Bytes);
+  ASAN_UNPOISON_MEMORY_REGION(Mem, Bytes);
   return Mem;
 }
 
@@ -164,10 +178,10 @@ ObjRef Heap::install(HeapObject *Obj) {
   ++NumAllocated;
   ++NumLive;
   BytesAllocated += Obj->blockBytes();
-  ObjRef R;
-  if (!FreeRefs.empty()) {
-    R = FreeRefs.back();
-    FreeRefs.pop_back();
+  ObjRef R = FreeRefHead;
+  if (R != NullRef) {
+    FreeRefHead =
+        static_cast<ObjRef>(reinterpret_cast<uintptr_t>(Table[R]) >> 1);
     Table[R] = Obj;
   } else {
     R = static_cast<ObjRef>(Table.size());
@@ -355,26 +369,37 @@ ObjRef Heap::allocateIntArray(uint32_t Length) {
   return install(Obj);
 }
 
-void Heap::free(ObjRef R) {
-  assert(R != NullRef && R < Table.size() && Table[R] &&
-         "freeing a bad reference");
-  HeapObject *Obj = Table[R];
-  uint32_t Bytes = Obj->blockBytes();
-  char *Mem = reinterpret_cast<char *>(Obj);
+void Heap::release(ObjRef R) {
+  char *Mem = reinterpret_cast<char *>(Table[R]);
   // Nursery blocks never enter the old free lists: the whole buffer is
   // recycled wholesale by resetNursery, and handing a nursery address out
   // as an old block would let the next reset clobber a live object.
   if (!inNursery(Mem)) {
-    if (Bytes <= SmallClassBytes)
-      SmallFree[Bytes / 8].push_back(Mem);
-    else
+    uint32_t Bytes = Table[R]->blockBytes();
+    if (Bytes <= SmallClassBytes) {
+      char *&Head = SmallFree[Bytes / 8];
+      std::memcpy(Mem, &Head, sizeof(char *));
+      Head = Mem;
+    } else {
       LargeFree.emplace_back(Bytes, Mem);
+    }
+    // Under AddressSanitizer a listed block is poisoned past its link
+    // word, so a read of a dead object (a stale SATB entry, a card rescan
+    // that missed the tag check) faults instead of reading a link.
+    ASAN_POISON_MEMORY_REGION(Mem + sizeof(char *), Bytes - sizeof(char *));
   }
-  Table[R] = nullptr;
+  Table[R] = reinterpret_cast<HeapObject *>(
+      (static_cast<uintptr_t>(FreeRefHead) << 1) | 1);
+  FreeRefHead = R;
+}
+
+void Heap::free(ObjRef R) {
+  assert(R != NullRef && R < Table.size() && isObject(Table[R]) &&
+         "freeing a bad reference");
+  release(R);
   LiveWords[R >> 6] &= ~(uint64_t(1) << (R & 63));
   MarkWords[R >> 6] &= ~(uint64_t(1) << (R & 63));
   YoungWords[R >> 6] &= ~(uint64_t(1) << (R & 63));
-  FreeRefs.push_back(R);
   --NumLive;
 }
 
@@ -393,19 +418,21 @@ void Heap::clearMarks() {
 }
 
 size_t Heap::sweepUnmarked() {
+  // Ref 0 is the ref list's end marker; it is never live, so never dead.
+  assert(!(LiveWords[0] & 1) && "ObjRef 0 is live");
   size_t Freed = 0;
   for (size_t WI = 0, WE = highWaterWords(); WI != WE; ++WI) {
-    uint64_t W = LiveWords[WI] & ~MarkWords[WI];
-    while (W) {
-      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
-      ObjRef R = static_cast<ObjRef>(WI * 64 + Bit);
-      if (R != NullRef) {
-        free(R);
-        ++Freed;
-      }
-      W &= W - 1;
-    }
+    uint64_t Dead = LiveWords[WI] & ~MarkWords[WI];
+    if (!Dead)
+      continue;
+    // Dead bits are unmarked, and clearMarks below zeroes the mark word.
+    LiveWords[WI] &= ~Dead;
+    YoungWords[WI] &= ~Dead;
+    Freed += static_cast<size_t>(__builtin_popcountll(Dead));
+    for (; Dead; Dead &= Dead - 1)
+      release(static_cast<ObjRef>(WI * 64 + __builtin_ctzll(Dead)));
   }
+  NumLive -= Freed;
   clearMarks();
   return Freed;
 }

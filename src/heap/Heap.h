@@ -12,12 +12,14 @@
 /// stored *inline* after a 16-byte header (int slots first, then ref
 /// slots), so a field access is one pointer dereference instead of the
 /// header + two-std::vector chase the original layout required. Freed
-/// blocks are recycled through exact-size free lists. Mark bits and
-/// liveness live in side bitmaps indexed by ObjRef, which makes a sweep a
-/// word-wise scan of live & ~marked instead of maxRef() objectOrNull
-/// probes. Objects keep a tracing state (untraced/tracing/traced, the
-/// array header protocol sketched in Section 4.3) inline. ObjRef 0 is
-/// null.
+/// blocks are recycled through exact-size LIFO free lists threaded
+/// through the dead blocks themselves, and freed ObjRefs through a LIFO
+/// list threaded through their object-table entries, so freeing writes
+/// nothing outside the heap's own storage. Mark bits and liveness live in
+/// side bitmaps indexed by ObjRef, which makes a sweep a word-wise scan of
+/// live & ~marked instead of maxRef() objectOrNull probes. Objects keep a
+/// tracing state (untraced/tracing/traced, the array header protocol
+/// sketched in Section 4.3) inline. ObjRef 0 is null.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -142,6 +144,8 @@ struct alignas(8) HeapObject {
 
 static_assert(sizeof(HeapObject) == 16, "header must stay 16 bytes");
 static_assert(alignof(HeapObject) == 8, "payload int slots need 8-align");
+static_assert(sizeof(HeapObject) >= sizeof(char *),
+              "a freed block must hold its free-list link");
 
 /// Tracing-state access shared by the marker (writer) and the mutators'
 /// rearrangement protocol (readers). Relaxed: the protocol tolerates stale
@@ -187,7 +191,7 @@ public:
   // to 64 so each context owns whole live/mark bitmap words for the objects
   // it installs; only the marker's setMarked can touch them concurrently,
   // which is why the bit sets are fetch_or. TLAB allocation ignores the
-  // free lists and FreeRefs (valid only because frees happen solely in
+  // block and ref free lists (valid only because frees happen solely in
   // stop-the-world sweeps; recycled space is picked up again once the heap
   // leaves multi-mutator mode).
   //
@@ -289,7 +293,7 @@ public:
   }
 
   /// \returns true if \p Mem points into the nursery buffer (block starts
-  /// only; used by install and by free()'s recycling guard).
+  /// only; used by install and by release()'s recycling guard).
   bool inNursery(const void *Mem) const {
     const char *P = static_cast<const char *>(Mem);
     return NurseryBase && P >= NurseryBase && P < NurseryEnd;
@@ -391,12 +395,12 @@ public:
   // --- Access -------------------------------------------------------------
 
   HeapObject &object(ObjRef R) {
-    assert(R != NullRef && R < Table.size() && Table[R] &&
+    assert(R != NullRef && R < Table.size() && isObject(Table[R]) &&
            "bad object reference");
     return *Table[R];
   }
   const HeapObject &object(ObjRef R) const {
-    assert(R != NullRef && R < Table.size() && Table[R] &&
+    assert(R != NullRef && R < Table.size() && isObject(Table[R]) &&
            "bad object reference");
     return *Table[R];
   }
@@ -407,7 +411,7 @@ public:
   HeapObject &deref(ObjRef R) { return *Table[R]; }
   /// Raw object table for the fast interpreter's dispatch loop, which
   /// caches it in a local across heap accesses. Invalidated only by
-  /// allocation (the table may grow); free() just nulls an entry.
+  /// allocation (the table may grow); free() just rewrites an entry.
   HeapObject *const *tableData() const { return Table.data(); }
 
   /// \returns the object or null if freed/never allocated (for GC sweeps
@@ -417,7 +421,8 @@ public:
   HeapObject *objectOrNull(ObjRef R) {
     if (R == NullRef || R >= Table.size())
       return nullptr;
-    return __atomic_load_n(&Table[R], __ATOMIC_ACQUIRE);
+    HeapObject *Entry = __atomic_load_n(&Table[R], __ATOMIC_ACQUIRE);
+    return isObject(Entry) ? Entry : nullptr;
   }
 
   const FieldSlot &fieldSlot(FieldId F) const {
@@ -548,9 +553,10 @@ public:
   void free(ObjRef R);
   /// Zeroes the mark bitmap and resets every live object's tracing state.
   void clearMarks();
-  /// Frees every live-but-unmarked object (a word-wise bitmap scan), then
-  /// clears marks. \returns the number of objects freed. Call only with
-  /// marking complete.
+  /// Frees every live-but-unmarked object, then clears marks. Each bitmap
+  /// word is updated once for all its dead objects; per object only the
+  /// block and the table entry are written. \returns the number of
+  /// objects freed. Call only with marking complete.
   size_t sweepUnmarked();
   /// The oracle's end-of-cycle check, a word at a time: \returns true iff
   /// every object whose bit is set in \p Bits (same indexing as the
@@ -585,6 +591,14 @@ private:
     return Mem;
   }
   ObjRef install(HeapObject *Obj);
+  /// Pushes \p R's block (unless it is nursery storage) and \p R itself on
+  /// their free lists. Leaves the bitmaps and counters to the caller.
+  void release(ObjRef R);
+  /// A table entry is an object, null (never handed out), or a free-list
+  /// link tagged with bit 0 (see FreeRefHead).
+  static bool isObject(const HeapObject *Entry) {
+    return Entry && !(reinterpret_cast<uintptr_t>(Entry) & 1);
+  }
   /// Bump-carves \p Bytes from the current slab, starting a new slab if
   /// needed. In multi-mutator mode the caller must hold SlowLock.
   char *carveFromSlab(uint32_t Bytes);
@@ -604,17 +618,22 @@ private:
   std::vector<uint64_t> LiveWords;  ///< bit R: ObjRef R is live
   std::vector<uint64_t> MarkWords;  ///< bit R: ObjRef R is marked
   std::vector<uint64_t> YoungWords; ///< bit R: ObjRef R is nursery-resident
-  std::vector<ObjRef> FreeRefs;     ///< recycled ObjRefs (LIFO)
+  /// Last freed ObjRef, or NullRef. Each freed entry holds the next link
+  /// as (Next << 1) | 1; the tag keeps it apart from an object pointer
+  /// (8-aligned) and from null, and costs no memory beyond the entry the
+  /// free writes anyway.
+  ObjRef FreeRefHead = NullRef;
 
   // Slab storage: blocks are carved from 64 KiB slabs by bump pointer;
-  // freed blocks recycle through exact-size free lists (small sizes get a
-  // direct-indexed bucket, rare large blocks a linear list).
+  // freed blocks recycle through exact-size free lists. A small size
+  // class is a LIFO list whose links sit in the first 8 bytes of each
+  // dead block; rare large blocks go on a linear list.
   static constexpr size_t SlabBytes = 64 * 1024;
   static constexpr uint32_t SmallClassBytes = 1024;
   std::vector<std::unique_ptr<char[]>> Slabs;
   char *SlabCur = nullptr;
   char *SlabEnd = nullptr;
-  std::vector<std::vector<char *>> SmallFree; ///< index: bytes / 8
+  char *SmallFree[SmallClassBytes / 8 + 1] = {}; ///< heads; index: bytes / 8
   std::vector<std::pair<uint32_t, char *>> LargeFree;
 
   /// Per-class ref/int slot counts, precomputed so allocation does not
