@@ -13,8 +13,9 @@
 /// marker's lock. Flush points are (a) the buffer reaching capacity on the
 /// barrier slow path and (b) the stop-the-world pause, where the
 /// coordinator flushes every context while its owner is parked — legal
-/// precisely because the owner is parked (the park mutex orders the
-/// owner's last append before the coordinator's drain).
+/// precisely because the owner is parked (its release increment of the
+/// park headcount, which the coordinator acquires before the pause work,
+/// orders the owner's last append before the coordinator's drain).
 ///
 /// Outside multi-mutator mode the context degrades to a transparent
 /// pass-through (direct heap allocation, direct marker logging) so the
