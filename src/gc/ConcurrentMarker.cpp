@@ -62,7 +62,7 @@ void ConcurrentMarker::drainAll(size_t &Work) {
 size_t ConcurrentMarker::sweep() {
   assert(!isActive() && "sweep during marking");
   // A word-wise scan of the heap's live & ~marked bitmaps; the heap
-  // clears marks and tracing states afterwards.
+  // clears the marks afterwards and advances the tracing epoch.
   size_t Freed = H.sweepUnmarked();
   Counts.SweptObjects += Freed;
   return Freed;
@@ -73,8 +73,11 @@ size_t ConcurrentMarker::sweep() {
 size_t ConcurrentMarker::runWorkers(size_t Budget, bool Pause) {
   if (MarkThreads == 1) {
     // The lone worker runs inline and its stack is MarkStack, so leftover
-    // work stays put between calls.
-    Worker W{*this, 0, nullptr, Pause, std::move(MarkStack)};
+    // work stays put between calls. It claims with plain stores unless
+    // mutator threads may be installing born-marked objects beside it.
+    Claim Mode =
+        Pause || !H.multiMutator() ? Claim::Exclusive : Claim::Shared;
+    Worker W{*this, 0, nullptr, Pause, Mode, std::move(MarkStack)};
     traceLoop(W, Budget);
     MarkStack = std::move(W.Local);
     Counts.MarkedObjects += W.Marked;
@@ -89,7 +92,8 @@ size_t ConcurrentMarker::runWorkers(size_t Budget, bool Pause) {
   std::atomic<uint64_t> Marked{0};
   std::atomic<size_t> Work{0};
   MarkPool->parallelFor(MarkThreads, [&](size_t Idx) {
-    Worker W{*this, static_cast<unsigned>(Idx), &Gate, Pause, {}};
+    Worker W{*this, static_cast<unsigned>(Idx), &Gate, Pause, Claim::Shared,
+             {}};
     traceLoop(W, Budget);
     Marked.fetch_add(W.Marked);
     Work.fetch_add(W.Work);
@@ -99,17 +103,27 @@ size_t ConcurrentMarker::runWorkers(size_t Budget, bool Pause) {
 }
 
 void ConcurrentMarker::traceLoop(Worker &W, size_t Budget) {
+  // Every claim this worker makes, on its grey stack and in refill(),
+  // happens inside this loop.
+  assert((W.Mode == Claim::Shared || W.ownsBitmap()) &&
+         "plain mark claim beside another writer of the mark bitmap");
   TerminationGate *Gate = W.Gate;
+  const TraceStamp Epoch = H.traceEpoch();
   for (;;) {
     while (!W.Local.empty() && W.Work < Budget) {
       ObjRef R = W.Local.back();
       W.Local.pop_back();
-      // The tracing state brackets the scan for the SATB rearrangement
-      // protocol (SatbMarker::exitRearrange).
+      // A reference array's tracing state brackets its scan for the SATB
+      // rearrangement protocol (SatbMarker::exitRearrange), the only
+      // reader, which looks at nothing else.
       HeapObject &Obj = H.object(R);
-      storeTracingRelaxed(Obj, TraceState::Tracing);
-      W.scanSlots(Obj);
-      storeTracingRelaxed(Obj, TraceState::Traced);
+      if (Obj.Kind == ObjectKind::RefArray) {
+        storeTracingRelaxed(Obj, Epoch, TraceState::Tracing);
+        W.scanSlots(Obj);
+        storeTracingRelaxed(Obj, Epoch, TraceState::Traced);
+      } else {
+        W.scanSlots(Obj);
+      }
       bumpTrace(R);
       ++W.Work;
     }

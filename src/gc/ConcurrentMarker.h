@@ -108,14 +108,18 @@ protected:
   ConcurrentMarker(Heap &H, MarkStats &Counts, bool SnapshotAtBegin)
       : H(H), Counts(Counts), SnapshotAtBegin(SnapshotAtBegin) {}
 
-  /// One mark worker's private grey stack and counts. The mark bit is
-  /// claimed atomically, so exactly one worker admits each object. A lone
-  /// worker (no Gate) shares nothing: it never offloads a segment.
+  /// One mark worker's private grey stack and counts. Whoever sets an
+  /// object's mark bit admits it, so exactly one worker does. Workers of
+  /// a gang claim with fetch_or. A lone worker (no Gate) shares nothing:
+  /// it never offloads a segment, and when no mutator thread can write
+  /// the mark bitmap beside it, it claims with plain stores
+  /// (Claim::Exclusive).
   struct Worker {
     ConcurrentMarker &M;
     unsigned Index;
     TerminationGate *Gate; ///< null when MarkThreads == 1
     bool Pause;            ///< draining in a termination pause
+    Claim Mode;            ///< how this worker claims mark bits
     GreySegment Local;
     uint64_t Marked = 0;
     size_t Work = 0;
@@ -136,23 +140,43 @@ protected:
       }
     }
     void claim(ObjRef R) {
-      if (M.tryClaim(R))
+      if (Mode == Claim::Exclusive ? M.tryClaim<Claim::Exclusive>(R)
+                                   : M.tryClaim<Claim::Shared>(R))
         admit(R);
     }
     /// Greys every unmarked referent of \p Obj.
     void scanSlots(const HeapObject &Obj) {
+      if (Mode == Claim::Exclusive)
+        scanSlotsWith<Claim::Exclusive>(Obj);
+      else
+        scanSlotsWith<Claim::Shared>(Obj);
+    }
+    /// Whether this worker is the one thread that can write the mark
+    /// bitmap, as Claim::Exclusive needs: it has no fellow workers, and no
+    /// mutator thread is installing born-marked objects (in multi-mutator
+    /// mode those run only outside a pause).
+    bool ownsBitmap() const {
+      return !Gate && (Pause || !M.H.multiMutator());
+    }
+
+  private:
+    template <Claim C> void scanSlotsWith(const HeapObject &Obj) {
       // Acquire per slot: a concurrently stored reference must publish its
       // referent's table entry and zeroed payload before we push it.
       // Reference arrays take the word-at-a-time range path: one bitmap
-      // fetch_or per touched mark word instead of one per slot, with
+      // claim per touched mark word instead of one per slot, with
       // callback order equal to the slot-by-slot loop's.
       const ObjRef *Slots = Obj.refs();
-      if (Obj.Kind == ObjectKind::RefArray)
-        M.H.markRangeWords(Slots, Obj.NumRefs,
-                           [this](ObjRef V) { admit(V); });
-      else
-        for (uint32_t I = 0, E = Obj.NumRefs; I != E; ++I)
-          claim(loadRefAcquire(&Slots[I]));
+      if (Obj.Kind == ObjectKind::RefArray) {
+        M.H.markRangeWords<C>(Slots, Obj.NumRefs,
+                              [this](ObjRef V) { admit(V); });
+        return;
+      }
+      for (uint32_t I = 0, E = Obj.NumRefs; I != E; ++I) {
+        ObjRef R = loadRefAcquire(&Slots[I]);
+        if (M.tryClaim<C>(R))
+          admit(R);
+      }
     }
   };
 
@@ -175,10 +199,16 @@ protected:
   size_t stopMarking(size_t Pause);
 
   /// The one claim test: \returns true iff \p R is a live object whose
-  /// mark bit this caller set. A plain load skips marked objects before
-  /// the atomic RMW.
-  bool tryClaim(ObjRef R) {
-    return R != NullRef && H.isLive(R) && !H.isMarked(R) && H.tryClaimMark(R);
+  /// mark bit this caller set. Under Claim::Shared a plain load skips
+  /// marked objects before the atomic RMW; the exclusive claim is that
+  /// load already.
+  template <Claim C = Claim::Shared> bool tryClaim(ObjRef R) {
+    if (R == NullRef || !H.isLive(R))
+      return false;
+    if constexpr (C == Claim::Shared)
+      if (H.isMarked(R))
+        return false;
+    return H.tryClaimMark<C>(R);
   }
   /// Greys \p R onto MarkStack (roots staged in a pause).
   void pushIfUnmarked(ObjRef R, size_t &Work) {

@@ -4,10 +4,12 @@
 /// Shared infrastructure for parallel marking (Flood et al.'s parallel-GC
 /// design point: per-worker grey stacks with load balancing, see
 /// PAPERS.md). Each mark worker keeps a private grey stack and claims
-/// objects through the heap's atomic mark word (`Heap::tryClaimMark`), so
-/// an object is traced exactly once no matter which worker reaches it
-/// first. Load balancing uses a *locked segment hand-off queue* rather
-/// than a Chase-Lev deque: workers that grow a deep local stack offload a
+/// objects through the heap's mark word with an atomic fetch_or
+/// (`Heap::tryClaimMark<Claim::Shared>`), so an object is traced exactly
+/// once no matter which worker reaches it first. (A lone worker that owns
+/// the bitmap claims with plain stores instead; see `Claim`.) Load
+/// balancing uses a *locked segment hand-off queue* rather than a
+/// Chase-Lev deque: workers that grow a deep local stack offload a
 /// fixed-size segment under a mutex, and idle workers pop whole segments.
 /// The rationale (see DESIGN.md "Parallel marking"): hand-off happens once
 /// per `GreySegmentTarget` objects, so the mutex is off the per-object

@@ -81,7 +81,7 @@ bool SatbMarker::enterRearrange(ObjRef Arr) {
     return false;
   std::lock_guard<std::mutex> Lock(RearrangeMutex);
   ++Stats.RearrangesEntered;
-  ActiveRearranges[Arr] = loadTracingRelaxed(*Obj);
+  ActiveRearranges[Arr] = loadTracingRelaxed(*Obj, H.traceEpoch());
   return true;
 }
 
@@ -95,7 +95,8 @@ void SatbMarker::exitRearrange(ObjRef Arr) {
   if (!isActive())
     return; // finishMarking already retraced the still-active set
   HeapObject *Obj = H.objectOrNull(Arr);
-  TraceState Now = Obj ? loadTracingRelaxed(*Obj) : TraceState::Traced;
+  TraceState Now =
+      Obj ? loadTracingRelaxed(*Obj, H.traceEpoch()) : TraceState::Traced;
   // Safe cases: the marker finished with the array before the loop ran
   // (Traced -> Traced: it saw the pre-loop contents), or it never started
   // (Untraced -> Untraced: it will see the post-loop contents, plus the

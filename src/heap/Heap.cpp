@@ -407,14 +407,14 @@ void Heap::clearMarks() {
   // Nothing at or above the high-water mark was ever live or marked.
   const size_t WE = highWaterWords();
   std::fill_n(MarkWords.begin(), WE, uint64_t(0));
-  for (size_t WI = 0; WI != WE; ++WI) {
-    uint64_t W = LiveWords[WI];
-    while (W) {
-      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
-      Table[WI * 64 + Bit]->Tracing = TraceState::Untraced;
-      W &= W - 1;
-    }
-  }
+  if (++TraceEpoch != (1u << TraceEpochBits))
+    return;
+  // Wrapped: every epoch comes round again, so no live stamp may survive
+  // the turn. Freed blocks need nothing; allocation writes a new header.
+  TraceEpoch = 1;
+  for (size_t WI = 0; WI != WE; ++WI)
+    for (uint64_t W = LiveWords[WI]; W; W &= W - 1)
+      Table[WI * 64 + __builtin_ctzll(W)]->Stamp = 0;
 }
 
 size_t Heap::sweepUnmarked() {

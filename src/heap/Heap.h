@@ -17,9 +17,12 @@
 /// list threaded through their object-table entries, so freeing writes
 /// nothing outside the heap's own storage. Mark bits and liveness live in
 /// side bitmaps indexed by ObjRef, which makes a sweep a word-wise scan of
-/// live & ~marked instead of maxRef() objectOrNull probes. Objects keep a
-/// tracing state (untraced/tracing/traced, the array header protocol
-/// sketched in Section 4.3) inline. ObjRef 0 is null.
+/// live & ~marked instead of maxRef() objectOrNull probes. Reference
+/// arrays carry a tracing state (untraced/tracing/traced, the array header
+/// protocol sketched in Section 4.3) in their header, stamped with the
+/// heap's cycle epoch so that clearing every state at a cycle's end is one
+/// epoch increment rather than a walk over the live objects. ObjRef 0 is
+/// null.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,6 +101,13 @@ enum class ObjectKind : uint8_t { Object, RefArray, IntArray };
 /// Array tracing states for the Section 4.3 optimistic protocol.
 enum class TraceState : uint8_t { Untraced, Tracing, Traced };
 
+/// A tracing state tagged with the marking epoch it was written in:
+/// (epoch << 2) | TraceState. A stamp from any other epoch reads as
+/// Untraced, so a fresh header (stamp 0; epoch 0 is never current) and
+/// every stamp of an earlier cycle are untraced without being rewritten.
+using TraceStamp = uint16_t;
+constexpr unsigned TraceEpochBits = 14;
+
 /// A heap object header. The payload is stored inline immediately after
 /// the header: NumInts int64 slots first (8-aligned), then NumRefs ObjRef
 /// slots. Never constructed directly — the Heap placement-allocates
@@ -107,7 +117,8 @@ struct alignas(8) HeapObject {
   uint32_t NumRefs = 0;
   uint32_t NumInts = 0;
   ObjectKind Kind = ObjectKind::Object;
-  TraceState Tracing = TraceState::Untraced;
+  /// Written by the marker for reference arrays only; see TraceStamp.
+  TraceStamp Stamp = 0;
 
   int64_t *ints() { return reinterpret_cast<int64_t *>(this + 1); }
   const int64_t *ints() const {
@@ -148,17 +159,32 @@ static_assert(sizeof(HeapObject) >= sizeof(char *),
               "a freed block must hold its free-list link");
 
 /// Tracing-state access shared by the marker (writer) and the mutators'
-/// rearrangement protocol (readers). Relaxed: the protocol tolerates stale
-/// states — a mis-read only sends an array to the conservative retrace
-/// list, never skips required work.
-inline TraceState loadTracingRelaxed(const HeapObject &O) {
-  return static_cast<TraceState>(__atomic_load_n(
-      reinterpret_cast<const uint8_t *>(&O.Tracing), __ATOMIC_RELAXED));
+/// rearrangement protocol (readers), in the heap's current \p Epoch
+/// (Heap::traceEpoch). Relaxed: the protocol tolerates stale states — a
+/// mis-read only sends an array to the conservative retrace list, never
+/// skips required work.
+inline TraceState loadTracingRelaxed(const HeapObject &O, TraceStamp Epoch) {
+  TraceStamp S = __atomic_load_n(&O.Stamp, __ATOMIC_RELAXED);
+  return (S >> 2) == Epoch ? static_cast<TraceState>(S & 3)
+                           : TraceState::Untraced;
 }
-inline void storeTracingRelaxed(HeapObject &O, TraceState S) {
-  __atomic_store_n(reinterpret_cast<uint8_t *>(&O.Tracing),
-                   static_cast<uint8_t>(S), __ATOMIC_RELAXED);
+inline void storeTracingRelaxed(HeapObject &O, TraceStamp Epoch,
+                                TraceState S) {
+  __atomic_store_n(&O.Stamp,
+                   static_cast<TraceStamp>((Epoch << 2) |
+                                           static_cast<unsigned>(S)),
+                   __ATOMIC_RELAXED);
 }
+
+/// How a mark worker claims mark bits. Shared is an atomic fetch_or, safe
+/// against every other writer of the bitmap. Exclusive is a plain load
+/// then store, valid only while the caller is the one thread that can
+/// write the mark bitmap: a lone mark worker in a heap outside
+/// multi-mutator mode, or inside a stop-the-world pause. While mutators
+/// run, tlabInstall's fetch_or of a born-marked bit can land on the word
+/// the marker is writing, and a plain store would silently drop that bit.
+/// Both accesses are atomic, so ThreadSanitizer would not report it.
+enum class Claim : bool { Shared, Exclusive };
 
 /// Where a FieldId lives inside an object of its owning class.
 struct FieldSlot {
@@ -447,8 +473,9 @@ public:
   // Bitmap words are shared between the marker (setMarked) and allocating
   // mutators (tlabInstall sets live + born-marked bits). TLAB ref blocks
   // are 64-aligned so two mutators never touch the same word, but the
-  // marker may hit a word a mutator is installing into — hence fetch_or.
-  // Relaxed is enough: the bits carry no payload; every read that decides
+  // marker may hit a word a mutator is installing into — hence fetch_or,
+  // except where one mark worker owns the bitmap (Claim). Relaxed is
+  // enough: the bits carry no payload; every read that decides
   // liveness/sweeping happens at a stop-the-world point ordered by the
   // safepoint handshake.
 
@@ -469,34 +496,33 @@ public:
     __atomic_fetch_or(&MarkWords[R >> 6], uint64_t(1) << (R & 63),
                       __ATOMIC_RELAXED);
   }
-  /// Parallel-marking claim: atomically sets the mark bit and \returns
-  /// true iff this caller set it. The returned-once guarantee is the
+  /// Marking claim: sets the mark bit and \returns true iff this caller
+  /// set it. Under Claim::Shared the returned-once guarantee is the
   /// exactly-once gate for sharded mark stacks — whichever worker's RMW
   /// flips the bit owns tracing the object; every later claimer sees the
-  /// bit already set and backs off. Relaxed like setMarked: mark bits
-  /// carry no payload (object contents are published by the ref-slot
-  /// release/acquire protocol, not by the bit).
-  bool tryClaimMark(ObjRef R) {
+  /// bit already set and backs off. Claim::Exclusive gives the same answer
+  /// with a plain load and store, for a caller that owns the bitmap (see
+  /// Claim). Relaxed like setMarked: mark bits carry no payload (object
+  /// contents are published by the ref-slot release/acquire protocol, not
+  /// by the bit).
+  template <Claim C> bool tryClaimMark(ObjRef R) {
     assert(isLive(R) && "claiming a non-live reference");
-    uint64_t Bit = uint64_t(1) << (R & 63);
-    uint64_t Prev =
-        __atomic_fetch_or(&MarkWords[R >> 6], Bit, __ATOMIC_RELAXED);
-    return (Prev & Bit) == 0;
+    return claimBits<C>(MarkWords[R >> 6], uint64_t(1) << (R & 63)) != 0;
   }
 
   /// Batched tryClaimMark over a reference-array range: claims the mark
   /// bit of every distinct, live, not-yet-marked referent in
-  /// \p Slots[0..N) with one fetch_or per touched bitmap word, invoking
+  /// \p Slots[0..N) with one claim per touched bitmap word, invoking
   /// \p OnMarked(R) exactly once per newly marked object in
   /// first-occurrence slot order. Duplicates within the range are folded
-  /// against a snapshot of the word; bits another worker claims between
-  /// the snapshot and the fetch_or are reconciled from the fetch_or's
-  /// returned previous value, preserving the exactly-once guarantee.
-  /// Pending bits are flushed whenever the scan leaves a bitmap word, so
-  /// callback order equals the order a slot-by-slot tryClaimMark loop
-  /// would produce. Slots are read with acquire loads (the marker-side
-  /// protocol).
-  template <typename FnT>
+  /// against a snapshot of the word; under Claim::Shared, bits another
+  /// worker claims between the snapshot and the fetch_or are reconciled
+  /// from the fetch_or's returned previous value, preserving the
+  /// exactly-once guarantee. Pending bits are flushed whenever the scan
+  /// leaves a bitmap word, so callback order equals the order a
+  /// slot-by-slot tryClaimMark loop would produce. Slots are read with
+  /// acquire loads (the marker-side protocol).
+  template <Claim C, typename FnT>
   void markRangeWords(const ObjRef *Slots, size_t N, FnT OnMarked) {
     size_t CurWord = ~size_t(0);
     uint64_t Seen = 0;     ///< mark-word snapshot for CurWord
@@ -506,9 +532,7 @@ public:
     auto Flush = [&] {
       if (!PendMask)
         return;
-      uint64_t Prev =
-          __atomic_fetch_or(&MarkWords[CurWord], PendMask, __ATOMIC_RELAXED);
-      uint64_t Newly = PendMask & ~Prev;
+      uint64_t Newly = claimBits<C>(MarkWords[CurWord], PendMask);
       for (unsigned I = 0; I != Pend; ++I)
         if ((Newly >> (Scratch[I] & 63)) & 1)
           OnMarked(Scratch[I]);
@@ -551,8 +575,14 @@ public:
     return MultiMutator ? RefCursor : static_cast<ObjRef>(Table.size());
   }
   void free(ObjRef R);
-  /// Zeroes the mark bitmap and resets every live object's tracing state.
+  /// Zeroes the mark bitmap and advances the tracing epoch, which turns
+  /// every tracing stamp Untraced. Once per 2^14 - 1 calls the epoch wraps
+  /// and the call also zeroes the stamps of all live objects, so a stamp
+  /// can never outlive its epoch's next turn. Stop-the-world only.
   void clearMarks();
+  /// The epoch tracing stamps are read and written in: 1 .. 2^14 - 1.
+  /// Changes only in clearMarks, at a stop-the-world point.
+  TraceStamp traceEpoch() const { return TraceEpoch; }
   /// Frees every live-but-unmarked object, then clears marks. Each bitmap
   /// word is updated once for all its dead objects; per object only the
   /// block and the table entry are written. \returns the number of
@@ -576,6 +606,18 @@ public:
   }
 
 private:
+  /// Sets \p Bits in mark word \p Word the way \p C says and \returns
+  /// the bits this call set.
+  template <Claim C> static uint64_t claimBits(uint64_t &Word, uint64_t Bits) {
+    uint64_t Prev;
+    if constexpr (C == Claim::Exclusive) {
+      Prev = __atomic_load_n(&Word, __ATOMIC_RELAXED);
+      __atomic_store_n(&Word, Prev | Bits, __ATOMIC_RELAXED);
+    } else {
+      Prev = __atomic_fetch_or(&Word, Bits, __ATOMIC_RELAXED);
+    }
+    return Bits & ~Prev;
+  }
   HeapObject *allocateBlock(uint32_t Bytes);
   /// Old-space block memory: free lists then slab carve. No nursery
   /// routing, no multi-mutator assert — shared by allocateBlock and
@@ -647,6 +689,7 @@ private:
   std::vector<ObjRef> StaticRefs;    ///< indexed by StaticFieldId (refs)
   std::vector<int64_t> StaticInts;
   std::atomic<bool> AllocateMarked{false};
+  TraceStamp TraceEpoch = 1;
   uint64_t NumAllocated = 0;
   uint64_t NumLive = 0;
   uint64_t BytesAllocated = 0;

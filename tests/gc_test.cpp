@@ -50,6 +50,28 @@ TEST_F(GcFixture, SatbMarksRootsTransitively) {
   EXPECT_EQ(H.objectOrNull(Garbage), nullptr);
 }
 
+TEST_F(GcFixture, SatbStampsOnlyRefArrays) {
+  // The rearrangement protocol reads tracing states of reference arrays
+  // only, so only they are stamped; the sweep's epoch advance clears them.
+  ObjRef A = node(), Arr = H.allocateRefArray(2), B = node();
+  link(A, 0, Arr);
+  H.object(Arr).refs()[1] = B;
+  SatbMarker M(H);
+  M.beginMarking({A});
+  auto State = [&](ObjRef R) {
+    return loadTracingRelaxed(H.object(R), H.traceEpoch());
+  };
+  EXPECT_EQ(State(Arr), TraceState::Untraced);
+  while (!M.markStep(8))
+    ;
+  EXPECT_EQ(State(Arr), TraceState::Traced);
+  EXPECT_EQ(H.object(A).Stamp, 0u);
+  EXPECT_EQ(H.object(B).Stamp, 0u);
+  M.finishMarking();
+  EXPECT_EQ(M.sweep(), 0u);
+  EXPECT_EQ(State(Arr), TraceState::Untraced);
+}
+
 TEST_F(GcFixture, SatbSnapshotPreservedThroughUnlink) {
   // A -> B at snapshot time; the mutator unlinks B during marking but the
   // logged pre-value keeps B in the snapshot.

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <set>
 
 using namespace satb;
@@ -141,12 +142,49 @@ TEST_F(HeapFixture, AllocateMarkedFlag) {
 
 TEST_F(HeapFixture, ClearMarksResetsTracingState) {
   Heap H(P);
-  ObjRef A = H.allocateObject(C);
+  ObjRef A = H.allocateRefArray(2);
+  EXPECT_EQ(loadTracingRelaxed(H.object(A), H.traceEpoch()),
+            TraceState::Untraced);
   H.setMarked(A);
-  H.object(A).Tracing = TraceState::Traced;
+  for (TraceState S :
+       {TraceState::Tracing, TraceState::Traced, TraceState::Untraced,
+        TraceState::Traced}) {
+    storeTracingRelaxed(H.object(A), H.traceEpoch(), S);
+    EXPECT_EQ(loadTracingRelaxed(H.object(A), H.traceEpoch()), S);
+  }
   H.clearMarks();
   EXPECT_FALSE(H.isMarked(A));
-  EXPECT_EQ(H.object(A).Tracing, TraceState::Untraced);
+  EXPECT_EQ(loadTracingRelaxed(H.object(A), H.traceEpoch()),
+            TraceState::Untraced);
+}
+
+TEST_F(HeapFixture, TracingStampDoesNotOutliveEpochWrap) {
+  // The epoch takes 2^14 - 1 values, so that many clearMarks calls bring
+  // it back to the stamp's own epoch; the wrap on the way must have
+  // zeroed the stamp. Offset 0 stamps in epoch 1, where the wrap lands
+  // on the last call; offset 5000 puts the wrap mid-way.
+  const uint32_t Period = (1u << TraceEpochBits) - 1;
+  for (uint32_t Offset : {0u, 5000u}) {
+    for (uint32_t Calls : {1u, Period, Period + 1, Period + 2}) {
+      Heap H(P);
+      ObjRef A = H.allocateRefArray(1);
+      ObjRef B = H.allocateRefArray(1);
+      for (uint32_t I = 0; I != Offset; ++I)
+        H.clearMarks();
+      storeTracingRelaxed(H.object(A), H.traceEpoch(), TraceState::Traced);
+      storeTracingRelaxed(H.object(B), H.traceEpoch(), TraceState::Tracing);
+      for (uint32_t I = 0; I != Calls; ++I)
+        H.clearMarks();
+      EXPECT_EQ(loadTracingRelaxed(H.object(A), H.traceEpoch()),
+                TraceState::Untraced)
+          << "offset " << Offset << ", " << Calls << " calls";
+      EXPECT_EQ(loadTracingRelaxed(H.object(B), H.traceEpoch()),
+                TraceState::Untraced)
+          << "offset " << Offset << ", " << Calls << " calls";
+      EXPECT_GE(H.traceEpoch(), 1u);
+      EXPECT_LT(H.traceEpoch(), 1u << TraceEpochBits);
+    }
+  }
 }
 
 TEST_F(HeapFixture, ComputeReachableFollowsFieldsAndStatics) {
@@ -790,4 +828,118 @@ TEST_F(HeapFixture, FreeListReuseIsLifoAcrossSweepAndFree) {
   EXPECT_TRUE(RefStack.empty());
   for (const auto &[Bytes, Blocks] : BlockStacks)
     EXPECT_TRUE(Blocks.empty()) << Bytes;
+}
+
+namespace {
+
+/// Exposes the marker's claim test to the claim differential below.
+struct ClaimProbe : SatbMarker {
+  using SatbMarker::SatbMarker;
+  using ConcurrentMarker::tryClaim;
+};
+
+/// One claim run over \p Slots: the refs the claim reported newly marked,
+/// in order, and the mark bit of every ObjRef afterwards.
+struct ClaimRun {
+  std::vector<ObjRef> Marked;
+  std::vector<bool> Bits;
+  bool operator==(const ClaimRun &) const = default;
+};
+
+/// Runs \p Claim from the mark state \p PreMarked (and no other bit set).
+template <typename ClaimFn>
+ClaimRun runClaim(Heap &H, const std::vector<ObjRef> &PreMarked,
+                  ClaimFn Claim) {
+  H.clearMarks();
+  for (ObjRef R : PreMarked)
+    H.setMarked(R);
+  ClaimRun Out;
+  Claim([&](ObjRef R) { Out.Marked.push_back(R); });
+  for (ObjRef R = 0; R <= H.maxRef(); ++R)
+    Out.Bits.push_back(H.isMarked(R));
+  return Out;
+}
+
+template <Claim Mode>
+ClaimRun claimRange(Heap &H, const std::vector<ObjRef> &PreMarked,
+                    const std::vector<ObjRef> &Slots) {
+  return runClaim(H, PreMarked, [&](auto OnMarked) {
+    H.markRangeWords<Mode>(Slots.data(), Slots.size(), OnMarked);
+  });
+}
+
+template <Claim Mode>
+ClaimRun claimEach(ClaimProbe &Probe, Heap &H,
+                   const std::vector<ObjRef> &PreMarked,
+                   const std::vector<ObjRef> &Slots) {
+  return runClaim(H, PreMarked, [&](auto OnMarked) {
+    for (ObjRef R : Slots)
+      if (Probe.tryClaim<Mode>(R))
+        OnMarked(R);
+  });
+}
+
+} // namespace
+
+TEST_F(HeapFixture, ExclusiveAndSharedClaimsAgree) {
+  // 320 objects span bitmap words 0..5; every seventh is freed, so slots
+  // can hold nulls, dead refs and live refs, duplicated and crossing
+  // words, against a seeded set of pre-marked bits. The plain claim must
+  // leave the same mark words and report the same objects in the same
+  // order as the fetch_or claim, and both must match the slot-order model.
+  Heap H(P);
+  std::vector<ObjRef> Live, Dead;
+  for (int I = 0; I != 320; ++I)
+    Live.push_back(H.allocateObject(C));
+  for (size_t I = 3; I < Live.size(); I += 7) {
+    H.free(Live[I]);
+    Dead.push_back(Live[I]);
+    Live[I] = NullRef;
+  }
+  std::erase(Live, NullRef);
+  ClaimProbe Probe(H);
+  std::mt19937 Rng(2210);
+  uint64_t NonEmpty = 0;
+  for (int Case = 0; Case != 300; ++Case) {
+    std::vector<ObjRef> PreMarked;
+    const unsigned PreMarkPct = Rng() % 60;
+    for (ObjRef R : Live)
+      if (Rng() % 100 < PreMarkPct)
+        PreMarked.push_back(R);
+    // A window of nearby refs makes duplicates and word crossings common.
+    const size_t N = Rng() % 150;
+    const size_t Lo = Rng() % Live.size();
+    const size_t Width = 1 + Rng() % 140;
+    std::vector<ObjRef> Slots;
+    for (size_t I = 0; I != N; ++I) {
+      unsigned Pick = Rng() % 10;
+      if (Pick == 0)
+        Slots.push_back(NullRef);
+      else if (Pick == 1)
+        Slots.push_back(Dead[Rng() % Dead.size()]);
+      else
+        Slots.push_back(Live[(Lo + Rng() % Width) % Live.size()]);
+    }
+
+    ClaimRun Model;
+    {
+      std::set<ObjRef> Marked(PreMarked.begin(), PreMarked.end());
+      for (ObjRef R : Slots)
+        if (R != NullRef && H.isLive(R) && Marked.insert(R).second)
+          Model.Marked.push_back(R);
+      for (ObjRef R = 0; R <= H.maxRef(); ++R)
+        Model.Bits.push_back(Marked.count(R) != 0);
+    }
+    NonEmpty += !Model.Marked.empty();
+
+    ClaimRun Range = claimRange<Claim::Shared>(H, PreMarked, Slots);
+    EXPECT_EQ(claimRange<Claim::Exclusive>(H, PreMarked, Slots), Range)
+        << "case " << Case;
+    EXPECT_EQ(Range, Model) << "case " << Case;
+    ClaimRun Each = claimEach<Claim::Shared>(Probe, H, PreMarked, Slots);
+    EXPECT_EQ(claimEach<Claim::Exclusive>(Probe, H, PreMarked, Slots), Each)
+        << "case " << Case;
+    EXPECT_EQ(Each, Model) << "case " << Case;
+  }
+  EXPECT_GT(NonEmpty, 200u); // most cases mark something
 }
