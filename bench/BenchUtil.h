@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Helpers shared by the table/figure benches: workload running with
-/// instrumentation, wall-clock timing, and environment-variable scale
+/// instrumentation, CPU-time timing, and environment-variable scale
 /// control (SATB_BENCH_SCALE overrides the default transaction count).
 ///
 //===----------------------------------------------------------------------===//
@@ -27,16 +27,9 @@ inline int64_t benchScale(int64_t Default) {
   return Default;
 }
 
-/// The scale ctest runs the counter-checked benches at (bench/
-/// CMakeLists.txt). A counter floor is the exact value at this scale;
-/// other scales give other ratios, so they print the table unchecked.
-inline constexpr int64_t kCheckedScale = 800;
-
 struct WorkloadRun {
   BarrierStats::Summary Stats;
-  double WallSeconds = 0.0;
   double CpuSeconds = 0.0;
-  uint64_t Steps = 0;
   uint64_t BarrierCostInstrs = 0;
   uint64_t ModeledInstrs = 0;
 };
@@ -53,13 +46,10 @@ inline WorkloadRun runWorkload(const Workload &W, const CompilerOptions &Opts,
   SatbMarker M(H); // present so always-log modes have a log target
   auto Execute = [&](auto &I) {
     I.attachSatb(&M);
-    Stopwatch Timer;
     CpuStopwatch CpuTimer;
     RunStatus S = I.run(W.Entry, {Scale});
-    R.WallSeconds = Timer.elapsedUs() / 1e6;
     R.CpuSeconds = CpuTimer.elapsedUs() / 1e6;
     R.Stats = I.stats().summarize();
-    R.Steps = I.stepsExecuted();
     R.BarrierCostInstrs = I.barrierCostInstrs();
     if (S != RunStatus::Finished) {
       std::fprintf(stderr, "bench: %s trapped: %s\n", W.Name.c_str(),

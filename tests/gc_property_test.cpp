@@ -14,6 +14,7 @@
 #include "TestUtil.h"
 
 #include "gc/MinorGC.h"
+#include "interp/FastInterp.h"
 #include "workloads/Workload.h"
 
 #include <type_traits>
@@ -289,4 +290,49 @@ TEST(WorkloadGc, GenerationalCycleCollectsAndPromotes) {
   EXPECT_GT(GS.Collections, 0u);
   EXPECT_GT(GS.PromotedObjects, 0u);
   EXPECT_GT(S.RemSetDirtied + S.RemSetElided, 0u);
+}
+
+TEST(WorkloadGc, GenerationalElisionRatesOverAllWorkloads) {
+  // Every workload at scale 800 on the fast engine, generational barrier,
+  // 32 KiB nursery, 1 KiB pretenure limit, minor GCs from the nursery
+  // hook. Summed over the workloads, the SATB-component elision rate at
+  // sites with the young-target proof and the remembered-set elision
+  // rate are deterministic counter ratios; each floor is the exact value.
+  uint64_t YoungExecs = 0, YoungElided = 0, RemSetElided = 0, Stores = 0;
+  uint64_t Minors = 0;
+  for (const Workload &W : allWorkloads()) {
+    CompilerOptions Opts;
+    Opts.Barrier = BarrierMode::Generational;
+    CompiledProgram CP = compileProgram(*W.P, Opts);
+    FastProgram FP = translateProgram(*W.P, CP);
+    Heap H(*W.P);
+    Heap::NurseryConfig NC;
+    NC.NurseryBytes = 32 * 1024;
+    NC.PretenureBytes = 1024;
+    H.enableNursery(NC);
+    SatbMarker M(H);
+    MinorGC Gen(H);
+    Gen.attachMarker(&M);
+    Gen.setRemSetValid(true);
+    FastInterp I(FP, CP, H);
+    I.attachSatb(&M);
+    I.attachGen(&Gen);
+    installNurseryHook(H, Gen, I);
+    ASSERT_EQ(I.run(W.Entry, {800}), RunStatus::Finished) << W.Name;
+    BarrierStats::Summary S = I.stats().summarize();
+    EXPECT_EQ(S.Violations, 0u) << W.Name;
+    EXPECT_EQ(S.RemSetViolations, 0u) << W.Name;
+    for (const SiteStats &SS : I.stats().flat()) {
+      if (SS.Plan.Rem == RemPlan::Elided) {
+        YoungExecs += SS.Execs;
+        YoungElided += SS.Elided;
+      }
+    }
+    RemSetElided += S.RemSetElided;
+    Stores += S.TotalExecs;
+    Minors += Gen.stats().Collections;
+  }
+  EXPECT_GT(Minors, 0u);
+  EXPECT_GE(100.0 * YoungElided / YoungExecs, 91.85);
+  EXPECT_GE(100.0 * RemSetElided / Stores, 43.15);
 }

@@ -302,24 +302,45 @@ TEST(ServerWorkload, VerifiesAndRunsSingleEngine) {
 }
 
 TEST(ServerWorkload, RequestModeCountsEveryRequest) {
+  // 4 mutators x 500 requests on a 96 KiB trigger, in each server
+  // configuration: every mutator finishes, every request is counted once,
+  // and the oracle holds on every cycle.
+  struct ServerConfig {
+    const char *Name;
+    BarrierMode Barrier;
+    MultiMarkerKind Marker;
+    bool Nursery, Tiered;
+  };
+  const ServerConfig Configs[] = {
+      {"satb", BarrierMode::Satb, MultiMarkerKind::Satb, false, false},
+      {"incupdate", BarrierMode::CardMarking,
+       MultiMarkerKind::IncrementalUpdate, false, false},
+      {"generational", BarrierMode::Generational, MultiMarkerKind::Satb, true,
+       false},
+      {"satb_tiered", BarrierMode::Satb, MultiMarkerKind::Satb, false, true}};
   Workload W = makeServerLike();
-  MultiMutatorConfig Cfg = pacedConfig();
-  Cfg.Marker = MultiMarkerKind::Satb;
-  Cfg.Requests = 150;
-  Cfg.EnableNursery = true;
-  Cfg.NurseryBytes = 32 * 1024;
-  MultiMutatorResult R =
-      runPaced(2, W, BarrierMode::Generational, /*Scale=*/1, Cfg);
-  expectClean(R, "server requests");
-  ASSERT_EQ(R.RequestsCompleted.size(), 2u);
-  EXPECT_EQ(R.RequestsCompleted[0], 150u);
-  EXPECT_EQ(R.RequestsCompleted[1], 150u);
-  EXPECT_EQ(R.TotalRequests, 300u);
-  EXPECT_EQ(R.RequestNs.count(), 300u);
-  EXPECT_GE(R.Cycles, 1u) << "request allocation must reach the trigger";
-  EXPECT_GE(R.Minor.Collections, 1u);
-  // Every histogram recording is a real nonzero latency.
-  EXPECT_GT(R.RequestNs.min(), 0u);
+  for (const ServerConfig &C : Configs) {
+    MultiMutatorConfig Cfg = pacedConfig();
+    Cfg.Pacer.TriggerBytes = 96 * 1024;
+    Cfg.Marker = C.Marker;
+    Cfg.Requests = 500;
+    Cfg.EnableNursery = C.Nursery;
+    Cfg.NurseryBytes = 128 * 1024;
+    Cfg.Tiered.Enabled = C.Tiered;
+    MultiMutatorResult R = runPaced(4, W, C.Barrier, /*Scale=*/1, Cfg);
+    expectClean(R, C.Name);
+    ASSERT_EQ(R.RequestsCompleted.size(), 4u) << C.Name;
+    for (uint64_t Done : R.RequestsCompleted)
+      EXPECT_EQ(Done, 500u) << C.Name;
+    EXPECT_EQ(R.TotalRequests, 2000u) << C.Name;
+    EXPECT_EQ(R.RequestNs.count(), 2000u) << C.Name;
+    EXPECT_GE(R.Cycles, 1u) << C.Name << ": allocation must reach the trigger";
+    if (C.Nursery) {
+      EXPECT_GE(R.Minor.Collections, 1u) << C.Name;
+    }
+    // Every histogram recording is a real nonzero latency.
+    EXPECT_GT(R.RequestNs.min(), 0u) << C.Name;
+  }
 }
 
 TEST(ServerWorkload, SharedStateSurvivesAcrossEntryInvocations) {

@@ -155,7 +155,7 @@ TEST_P(MultiMutator, OracleHoldsAtFinalPause) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, MultiMutator,
-    ::testing::Combine(::testing::Values(2u, 4u),
+    ::testing::Combine(::testing::Values(1u, 2u, 4u),
                        ::testing::Values(MultiMarkerKind::Satb,
                                          MultiMarkerKind::IncrementalUpdate),
                        ::testing::ValuesIn(markThreadGrid()),
@@ -597,6 +597,37 @@ TEST(ParallelMark, SatbBitIdenticalToSerialOnRecordedLog) {
       EXPECT_EQ(Marker.stats().MarkedObjects, SerialMarked);
     }
     G.H->clearMarks();
+  }
+}
+
+TEST(ParallelMark, FinishMarkingMarksEveryObjectAtEachThreadCount) {
+  // A fanout-8 tree of 40000 ref arrays, each also pointing at two random
+  // earlier nodes, marked from its root inside the termination pause.
+  // There the lone worker owns the bitmap and claims with a plain store,
+  // while a gang claims with fetch_or; both must mark every object.
+  constexpr size_t N = 40000;
+  Program P;
+  Heap H(P);
+  std::vector<ObjRef> Nodes;
+  std::mt19937 Rng(1234);
+  for (size_t I = 0; I != N; ++I) {
+    ObjRef R = H.allocateRefArray(10);
+    if (I > 0) {
+      H.object(Nodes[(I - 1) / 8]).refs()[(I - 1) % 8] = R;
+      H.object(R).refs()[8] = Nodes[Rng() % I];
+      H.object(R).refs()[9] = Nodes[Rng() % I];
+    }
+    Nodes.push_back(R);
+  }
+  for (unsigned M : {1u, 2u, 4u}) {
+    ThreadPool Pool(M);
+    SatbMarker Marker(H);
+    if (M > 1)
+      Marker.setMarkThreads(M, &Pool);
+    H.clearMarks();
+    Marker.beginMarking({Nodes[0]});
+    Marker.finishMarking();
+    EXPECT_EQ(Marker.stats().MarkedObjects, N) << "M=" << M;
   }
 }
 
