@@ -27,9 +27,8 @@
 ///
 /// All decisions are made (and all state mutated) on one thread; the heap
 /// reads are relaxed atomics, so the pacer needs no locking and can be
-/// polled every coordinator iteration. PacerConfig defaults come from the
-/// SATB_PACER* environment (same pattern as TieredOptions) so CI re-runs
-/// existing grids pacer-driven without touching test code.
+/// polled every coordinator iteration. PacerConfig's defaults are
+/// constants; a run that wants pacing sets the fields it needs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,31 +42,26 @@
 namespace satb {
 
 struct PacerConfig {
-  /// Pacer-driven cycle triggering (SATB_PACER=1). Off by default: the
-  /// scripted single-cycle driver stays the bit-identical baseline.
-  bool Enabled = enabledDefault();
+  /// Pacer-driven cycle triggering. Off by default: the scripted
+  /// single-cycle driver stays the bit-identical baseline.
+  bool Enabled = false;
   /// Allocation-pressure trigger: start a cycle once this many bytes have
-  /// been allocated since the previous cycle ended (SATB_PACER_TRIGGER_KB).
-  uint64_t TriggerBytes = triggerBytesDefault();
+  /// been allocated since the previous cycle ended.
+  uint64_t TriggerBytes = 256 * 1024;
   /// Occupancy trigger: start a cycle when numLive() reaches the current
-  /// high watermark, initially this value (SATB_PACER_LIVE_HIGH, objects).
-  uint64_t LiveHighWater = liveHighWaterDefault();
+  /// high watermark, initially this value (objects). High enough that
+  /// allocation pressure, not occupancy, is the normal trigger.
+  uint64_t LiveHighWater = 1u << 20;
   /// Hysteresis band: a cycle that sweeps occupancy below
   /// LiveHighWater/2 re-arms the original watermark; one that does not
   /// raises the watermark to live + LiveHeadroom.
-  uint64_t LiveHeadroom = liveHeadroomDefault();
+  uint64_t LiveHeadroom = 4096;
   /// Nursery-fill percentage that requests a proactive minor collection;
-  /// 0 leaves minors purely demand-driven (SATB_PACER_NURSERY_PCT).
-  uint32_t NurseryFillPct = nurseryFillPctDefault();
+  /// 0 leaves minors purely demand-driven.
+  uint32_t NurseryFillPct = 75;
   /// Upper bound on cycles started; 0 = unbounded. Tests use 1 to compare
   /// a pacer-triggered cycle against the scripted single-cycle run.
   uint64_t MaxCycles = 0;
-
-  static bool enabledDefault();
-  static uint64_t triggerBytesDefault();
-  static uint64_t liveHighWaterDefault();
-  static uint64_t liveHeadroomDefault();
-  static uint32_t nurseryFillPctDefault();
 };
 
 struct PacerStats {

@@ -3,8 +3,7 @@
 /// \file
 /// The fast mutator engine: executes the pre-decoded FastInst stream
 /// produced by translateProgram with direct-threaded dispatch (computed
-/// goto on GNU compilers; define SATB_FASTINTERP_SWITCH — or build on a
-/// non-GNU compiler — for the portable switch loop). Frames live in one
+/// goto, a GNU extension the library already requires). Frames live in one
 /// contiguous slot arena sized from translation-time stack-depth bounds,
 /// and per-site barrier work is baked into specialized opcodes, so an
 /// elided store executes zero barrier instructions.

@@ -339,10 +339,9 @@ struct TranslateOptions {
   /// Safepoint poll, never rewrites anything but Op fields, and fused
   /// handlers charge the sum of their parts, so every observable —
   /// steps, traps, stats, suspension points — is bit-identical with the
-  /// pass on or off. Defaults to fusionDefault(): on, unless the
-  /// SATB_NO_FUSE environment variable is set (the in-tree oracle knob
-  /// CI's release matrix and TSan job flip).
-  bool Fuse = fusionDefault();
+  /// pass on or off. On by default; tests that use the unfused
+  /// translation as an oracle set it to false.
+  bool Fuse = true;
   /// Which tier this translation produces. Static is today's behavior;
   /// Baseline suppresses the static elision (every barrier kept);
   /// Speculative additionally consumes Spec.
@@ -350,8 +349,6 @@ struct TranslateOptions {
   /// Per-PC speculation requests for the method being translated. Only
   /// read when Tier == Speculative; must outlive the call.
   const SpeculativeFacts *Spec = nullptr;
-
-  static bool fusionDefault();
 };
 
 /// The plan a store site with compiled plan \p Static executes in \p Tier:

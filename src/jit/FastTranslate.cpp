@@ -5,7 +5,6 @@
 #include "heap/Heap.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 using namespace satb;
 
@@ -71,11 +70,6 @@ FastOp satb::opFor(StoreKind K, BarrierPlan P) {
   std::optional<FastOp> Op = findStoreOp(K, P);
   assert(Op && "compiled plan without a store opcode");
   return *Op;
-}
-
-bool TranslateOptions::fusionDefault() {
-  static const bool Enabled = std::getenv("SATB_NO_FUSE") == nullptr;
-  return Enabled;
 }
 
 std::optional<FastOp> satb::fusedOp(FastOp First, FastOp Second) {

@@ -5,41 +5,8 @@
 #include "analysis/BarrierAnalysis.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 using namespace satb;
-
-bool TieredOptions::tieredDefault() {
-  static const bool On = [] {
-    const char *E = std::getenv("SATB_TIERED");
-    return E && *E && std::strcmp(E, "0") != 0;
-  }();
-  return On;
-}
-
-static uint32_t envU32(const char *Name, uint32_t Default) {
-  const char *E = std::getenv(Name);
-  if (!E || !*E)
-    return Default;
-  long V = std::strtol(E, nullptr, 10);
-  return V > 0 ? static_cast<uint32_t>(V) : Default;
-}
-
-uint32_t TieredOptions::warmDefault() {
-  static const uint32_t V = envU32("SATB_TIER_WARM", 8);
-  return V;
-}
-
-uint32_t TieredOptions::hotDefault() {
-  static const uint32_t V = envU32("SATB_TIER_HOT", 32);
-  return V;
-}
-
-uint32_t TieredOptions::forceDeoptDefault() {
-  static const uint32_t V = envU32("SATB_DEOPT_EVERY", 0);
-  return V;
-}
 
 MethodVersionTable::MethodVersionTable(const FastProgram &FP)
     : Tiered(false), MaxFrameSlots(FP.MaxFrameSlots) {

@@ -43,30 +43,23 @@
 
 namespace satb {
 
-/// Tiering knobs. The env defaults let CI re-run whole suites tiered
-/// (SATB_TIERED=1) and force deopt storms (SATB_DEOPT_EVERY=k) without
-/// touching test code.
+/// Tiering knobs.
 struct TieredOptions {
-  /// Master switch; defaults from the SATB_TIERED environment variable.
-  bool Enabled = tieredDefault();
+  /// Master switch. Off by default: untiered execution runs the Static
+  /// translation of every method.
+  bool Enabled = false;
   /// Invocations before a Baseline method is re-translated at Static.
-  uint32_t WarmInvocations = warmDefault();
+  uint32_t WarmInvocations = 8;
   /// Invocations before the profile is consulted for speculation (and
   /// the re-poll interval while no site qualifies).
-  uint32_t HotInvocations = hotDefault();
+  uint32_t HotInvocations = 32;
   /// A site speculates only after this many profiled executions.
   uint64_t MinSiteExecs = 16;
   /// Guard-failure deopts after which a method is pinned to Static.
   uint32_t MaxDeopts = 3;
   /// Testing knob: every k-th guard evaluation takes the failure path
   /// (conservative barrier + deopt) even when the guard holds; 0 = off.
-  /// Defaults from SATB_DEOPT_EVERY.
-  uint32_t ForceDeoptEvery = forceDeoptDefault();
-
-  static bool tieredDefault();
-  static uint32_t warmDefault();
-  static uint32_t hotDefault();
-  static uint32_t forceDeoptDefault();
+  uint32_t ForceDeoptEvery = 0;
 };
 
 /// Per-table lifecycle counters (per engine, like the BarrierStats
@@ -76,7 +69,7 @@ struct TierCounters {
   uint64_t SpecPromotions = 0;
   uint64_t SpecSites = 0;          ///< guarded sites across all promotions
   uint64_t Deopts = 0;             ///< guard-failure deopts (incl. forced)
-  uint64_t ForcedDeopts = 0;       ///< of which SATB_DEOPT_EVERY forced
+  uint64_t ForcedDeopts = 0;       ///< of which ForceDeoptEvery forced
   uint64_t EpochInvalidations = 0; ///< young-spec retired by a minor GC
 };
 
