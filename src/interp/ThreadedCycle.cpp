@@ -319,6 +319,8 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     R.Shards.push_back(E->stats());
     R.Merged.merge(E->stats());
   }
+  for (auto &Table : Tables)
+    R.Tiering.push_back(Table->counters());
   R.Violations = R.Merged.summarize().Violations;
   R.LoggedPreValues = Satb.stats().LoggedPreValues;
   for (unsigned T = 0; T != Mutators; ++T) {
