@@ -1324,24 +1324,3 @@ AnalysisResult satb::analyzeBarriers(const Program &P, const Method &M,
                                      const AnalysisConfig &Cfg) {
   return BarrierAnalyzer(P, M, Cfg).run();
 }
-
-SpeculativeFacts satb::injectSpeculativeFacts(
-    const AnalysisResult &R, const std::vector<bool> &NullAlways,
-    const std::vector<bool> &YoungAlways, bool ApplyElision) {
-  size_t N = R.Decisions.size();
-  SpeculativeFacts F;
-  F.NullSpec.assign(N, false);
-  F.YoungSpec.assign(N, false);
-  for (size_t PC = 0; PC != N; ++PC) {
-    const BarrierDecision &D = R.Decisions[PC];
-    if (!D.IsBarrierSite)
-      continue;
-    if (PC < NullAlways.size() && NullAlways[PC] &&
-        !(ApplyElision && D.Elide))
-      F.NullSpec[PC] = true;
-    if (PC < YoungAlways.size() && YoungAlways[PC] &&
-        !(ApplyElision && D.TargetYoung))
-      F.YoungSpec[PC] = true;
-  }
-  return F;
-}

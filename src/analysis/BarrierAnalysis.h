@@ -141,37 +141,6 @@ struct AnalysisResult {
 AnalysisResult analyzeBarriers(const Program &P, const Method &M,
                                const AnalysisConfig &Cfg);
 
-/// Per-PC speculation requests for one method — the runtime counterpart
-/// of a BarrierDecision. Where the static analysis *proves* a store
-/// pre-null, a profile can only *observe* it; the tiered engine turns
-/// such observations into guarded elisions (DESIGN.md "Tiered
-/// execution"). Indexed by original (compiled-body) PC.
-struct SpeculativeFacts {
-  std::vector<bool> NullSpec;  ///< elide marking barrier under Pre==null guard
-  std::vector<bool> YoungSpec; ///< elide remset barrier under isYoung guard
-  bool any() const {
-    for (bool B : NullSpec)
-      if (B)
-        return true;
-    for (bool B : YoungSpec)
-      if (B)
-        return true;
-    return false;
-  }
-};
-
-/// Folds observed per-site facts into speculation requests, validated
-/// against the static decisions in \p R: only genuine barrier sites are
-/// kept, and a fact the static proof already discharges (Elide /
-/// TargetYoung with elision applied) is dropped — speculating there
-/// could only add guard cost to an already-free site. \p NullAlways /
-/// \p YoungAlways are the profile's verdicts per PC ("every observed
-/// execution overwrote null" / "...had a young base").
-SpeculativeFacts injectSpeculativeFacts(const AnalysisResult &R,
-                                        const std::vector<bool> &NullAlways,
-                                        const std::vector<bool> &YoungAlways,
-                                        bool ApplyElision);
-
 } // namespace satb
 
 #endif // SATB_ANALYSIS_BARRIERANALYSIS_H

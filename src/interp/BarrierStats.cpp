@@ -39,9 +39,6 @@ void BarrierStats::merge(const BarrierStats &Other) {
     D.RemSetDirtied += S.RemSetDirtied;
     D.RemSetElided += S.RemSetElided;
     D.RemSetViolations += S.RemSetViolations;
-    D.YoungSeen += S.YoungSeen;
-    D.SpecElided += S.SpecElided;
-    D.Deopts += S.Deopts;
   }
 }
 
@@ -58,9 +55,6 @@ BarrierStats::Summary BarrierStats::summarize() const {
     S.RemSetDirtied += SS.RemSetDirtied;
     S.RemSetElided += SS.RemSetElided;
     S.RemSetViolations += SS.RemSetViolations;
-    S.YoungSeen += SS.YoungSeen;
-    S.SpecElided += SS.SpecElided;
-    S.Deopts += SS.Deopts;
     if (SS.Plan.Rem == RemPlan::Elided)
       S.YoungExecs += SS.Execs;
     if (SS.IsArray) {

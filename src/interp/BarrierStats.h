@@ -38,18 +38,8 @@ struct SiteStats {
   uint64_t RemSetDirtied = 0;    ///< executions that dirtied a remset card
   uint64_t RemSetElided = 0;     ///< executions skipping the remset barrier
   uint64_t RemSetViolations = 0; ///< young-target elisions on an old base
-  /// Profile counter for the tiered engine's young-speculation: kept
-  /// remembered-set executions whose base object was young (the remset
-  /// barrier's own young test, counted instead of discarded). Execs and
-  /// PreNull double as the null-seen profile.
-  uint64_t YoungSeen = 0;
-  // Tiered-execution counters (DESIGN.md "Tiered execution"); only the
-  // fast engine's speculative tier touches them.
-  uint64_t SpecElided = 0; ///< guarded executions that skipped a barrier
-  uint64_t Deopts = 0;     ///< guard failures that deoptimized here
   bool IsArray = false;
-  /// The compiled plan executed here (CompiledMethod::Plans) — the
-  /// static tier's verdict, whichever tier ran the site.
+  /// The compiled plan executed here (CompiledMethod::Plans).
   BarrierPlan Plan;
   ElisionReason Reason = ElisionReason::None;
 
@@ -60,9 +50,7 @@ struct SiteStats {
            A.RemSetDirtied == B.RemSetDirtied &&
            A.RemSetElided == B.RemSetElided &&
            A.RemSetViolations == B.RemSetViolations &&
-           A.YoungSeen == B.YoungSeen && A.SpecElided == B.SpecElided &&
-           A.Deopts == B.Deopts && A.IsArray == B.IsArray &&
-           A.Plan == B.Plan && A.Reason == B.Reason;
+           A.IsArray == B.IsArray && A.Plan == B.Plan && A.Reason == B.Reason;
   }
   friend bool operator!=(const SiteStats &A, const SiteStats &B) {
     return !(A == B);
@@ -114,10 +102,6 @@ public:
     uint64_t RemSetViolations = 0;
     /// Executions at heap-store sites with the young-target proof.
     uint64_t YoungExecs = 0;
-    // Tiered-execution totals.
-    uint64_t YoungSeen = 0;
-    uint64_t SpecElided = 0;
-    uint64_t Deopts = 0;
 
     double pctElided() const {
       return TotalExecs ? 100.0 * ElidedExecs / TotalExecs : 0.0;

@@ -27,27 +27,15 @@ int64_t wrap32(int64_t V) { return static_cast<int32_t>(V); }
 
 FastInterp::FastInterp(const FastProgram &FP, const CompiledProgram &CP,
                        Heap &H)
-    : OwnedVT(std::make_unique<MethodVersionTable>(FP)), VT(OwnedVT.get()),
-      H(H), Ctx(H) {
+    : FP(FP), H(H), Ctx(H) {
   Stats.init(CP);
   Sites = Stats.flatData();
   StaticR = H.staticRefsData();
   StaticI = H.staticIntsData();
-}
-
-FastInterp::FastInterp(MethodVersionTable &VT, const CompiledProgram &CP,
-                       Heap &H)
-    : VT(&VT), H(H), Ctx(H) {
-  Stats.init(CP);
-  Sites = Stats.flatData();
-  StaticR = H.staticRefsData();
-  StaticI = H.staticIntsData();
-  if (VT.tiered())
-    ForceDeoptEvery = VT.options().ForceDeoptEvery;
 }
 
 void FastInterp::start(MethodId Entry, const std::vector<int64_t> &IntArgs) {
-  size_t Need = static_cast<size_t>(MaxCallDepth) * VT->maxFrameSlots();
+  size_t Need = static_cast<size_t>(MaxCallDepth) * FP.MaxFrameSlots;
   if (Arena.size() < Need)
     Arena.resize(Need);
   Frames.clear();
@@ -57,10 +45,7 @@ void FastInterp::start(MethodId Entry, const std::vector<int64_t> &IntArgs) {
   Result = Slot();
   AtSafepoint = true;
 
-  // The entry activation resolves through the table like any other (it
-  // is dispatched exactly once, so it never accumulates enough
-  // invocations to promote — DESIGN.md "Tiered execution").
-  const FastMethod &FM = VT->active(Entry);
+  const FastMethod &FM = FP.Methods[Entry];
   Frame F;
   F.FM = &FM;
   F.IP = FM.Code.data();
@@ -185,11 +170,6 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
         if (Gen)                                                               \
           Gen->recordOldToYoung(BaseRef);                                      \
       }                                                                        \
-    } else {                                                                   \
-      /* Young-speculation profile: the barrier's young test, counted.  \
-         Free for the tiered promotion policy; the reference engine      \
-         maintains it too, so stats stay bit-identical. */                     \
-      ++SS.YoungSeen;                                                          \
     }                                                                          \
   } while (0)
 
@@ -267,16 +247,14 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
 
 // --- Bulk-store plumbing ----------------------------------------------------
 //
-// ArrayFill / ArrayCopy prologues: pops and trap order mirror the
-// reference engine's cases exactly. One bulk execution is one fuel unit,
-// one Execs tick, and at most one PreNull tick — PreNull counts
-// executions whose *whole* destination range was pre-null (the range
-// analogue of the per-slot profile, vacuously true for N == 0; the
-// speculative tier promotes on it). The pre-value scan runs before any
-// slot is written: self-copies may overlap, and the SATB log must see
-// the snapshot values. Bulk ops never fuse and are never poll points, so
-// the instruction boundary after the handler is safepoint-correct for
-// free.
+// ArrayFill / ArrayCopy prologues: pops and trap order mirror the reference
+// engine's cases exactly. One bulk execution is one fuel unit, one Execs tick,
+// and at most one PreNull tick — PreNull counts executions whose *whole*
+// destination range was pre-null (the range analogue of the per-slot counter,
+// vacuously true for N == 0). The pre-value scan runs before any slot is
+// written: self-copies may overlap, and the SATB log must see the snapshot
+// values. Bulk ops never fuse and are never poll points, so the instruction
+// boundary after the handler is safepoint-correct for free.
 #define BULK_PRENULL_SCAN()                                                    \
   bool AllPreNull = true;                                                      \
   for (size_t I = 0; I != N; ++I)                                              \
@@ -418,122 +396,24 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
     NEXT2();                                                                   \
   } while (0)
 
-// --- Speculative-tier plumbing ---------------------------------------------
-//
-// A *_Spec store carries its guarded plan in the instruction's C field
-// (BarrierPlan::bits). Each barrier component either elides behind a
-// dynamic guard — the mark guard is "Pre == null" (for a bulk store:
-// "the whole destination range is pre-null"), the rem guard is the
-// base's young test — replays the static tier's proven elision, or keeps
-// the conservative barrier. A failing guard executes the full
-// conservative barrier inline — so LoggedPreValues and RemSetDirtied
-// match a never-speculated run exactly — completes the store, and only
-// then deopts; the handler is past every trap check at that point, so
-// the frame sits at an instruction boundary (Safepoint-compatible). The
-// forcedDeopt() testing knob takes the same failure path with the guard
-// actually holding; the replayed conservative barrier is then
-// semantically a no-op, which is what keeps forced deopt storms
-// observationally invisible. `Deopt` / `Genuine` are handler locals; the
-// prologue's Pre / Val / SS are in scope.
-#define SPEC_MARK_COMPONENT(SHAPE, SI, B, PRENULL)                             \
-  do {                                                                         \
-    switch (BarrierPlan::fromBits((SI).C).Mark) {                              \
-    case MarkPlan::GuardNull:                                                  \
-    case MarkPlan::GuardNullAlwaysLog:                                         \
-      BarrierCost += 1; /* the null guard */                                   \
-      if ((PRENULL) && !forcedDeopt()) {                                       \
-        ++SS.SpecElided;                                                       \
-      } else {                                                                 \
-        Genuine |= !(PRENULL);                                                 \
-        if (BarrierPlan::fromBits((SI).C).Mark ==                              \
-            MarkPlan::GuardNullAlwaysLog)                                      \
-          MARK_##SHAPE##_AlwaysLog(SI, B);                                     \
-        else                                                                   \
-          MARK_##SHAPE##_Satb(SI, B);                                          \
-        Deopt = true;                                                          \
-      }                                                                        \
-      break;                                                                   \
-    case MarkPlan::Elided:                                                     \
-      MARK_##SHAPE##_Elided(SI, B);                                            \
-      break;                                                                   \
-    case MarkPlan::Satb:                                                       \
-      MARK_##SHAPE##_Satb(SI, B);                                              \
-      break;                                                                   \
-    case MarkPlan::AlwaysLog:                                                  \
-      MARK_##SHAPE##_AlwaysLog(SI, B);                                         \
-      break;                                                                   \
-    default:                                                                   \
-      break;                                                                   \
-    }                                                                          \
-  } while (0)
-
-#define SPEC_REM_COMPONENT(SI, BaseRef, ANYYOUNG)                              \
-  do {                                                                         \
-    switch (BarrierPlan::fromBits((SI).C).Rem) {                               \
-    case RemPlan::GuardYoung: {                                                \
-      BarrierCost += 1; /* the young guard */                                  \
-      bool Young = H.isYoung(BaseRef);                                         \
-      if (Young && !forcedDeopt()) {                                           \
-        ++SS.SpecElided;                                                       \
-      } else {                                                                 \
-        Genuine |= !Young;                                                     \
-        BARRIER_GEN_REMSET(BaseRef, ANYYOUNG);                                 \
-        Deopt = true;                                                          \
-      }                                                                        \
-      break;                                                                   \
-    }                                                                          \
-    case RemPlan::Elided:                                                      \
-      BARRIER_GEN_YOUNG(BaseRef);                                              \
-      break;                                                                   \
-    case RemPlan::Kept:                                                        \
-      BARRIER_GEN_REMSET(BaseRef, ANYYOUNG);                                   \
-      break;                                                                   \
-    case RemPlan::None:                                                        \
-      break;                                                                   \
-    }                                                                          \
-  } while (0)
-
-// Guard failure: the conservative barrier already ran and the store
-// completed, so transfer every frame running this version onto Static
-// and resume at the next instruction of the *new* stream (all versions
-// share stream shape, so the transfer is index-preserving; Base and SP
-// are version-independent). The failing instruction paid its fuel on
-// entry and the DISPATCH here charges the successor exactly as NEXT
-// would — step totals are unchanged by deopt.
-#define SPEC_DEOPT(Advance)                                                    \
-  do {                                                                         \
-    ++SS.Deopts;                                                               \
-    IP += (Advance);                                                           \
-    FLUSH_FRAME();                                                             \
-    VT->deoptimize(Frames, /*Forced=*/!Genuine);                               \
-    IP = Frames.back().IP;                                                     \
-    DISPATCH();                                                                \
-  } while (0)
-
 // --- Generated store handlers ----------------------------------------------
 //
 // One handler per SATB_FAST_STORE_OPS row: the kind's prologue, the
 // plan's marking component, its remembered-set component, the kind's
 // store, and the exit. Each component expands to exactly its barrier
-// sequence — an Elided row runs no barrier instruction, and the `Deopt`
-// test is constant-false (folded away) everywhere but the Spec rows.
+// sequence — an Elided row runs no barrier instruction.
 //
-// Marking components per shape (scalar slot vs. bulk range); SI is the
-// instruction carrying the store's operands, B the written object.
-#define MARK_SCALAR_None(SI, B)
-#define MARK_SCALAR_Elided(SI, B) BARRIER_ELIDED(Val.Ref)
-#define MARK_SCALAR_Satb(SI, B) BARRIER_SATB()
-#define MARK_SCALAR_AlwaysLog(SI, B) BARRIER_ALWAYSLOG()
-#define MARK_SCALAR_Card(SI, B) /* after the store: see BARRIER_CARD */
-#define MARK_SCALAR_GuardNull(SI, B)                                           \
-  SPEC_MARK_COMPONENT(SCALAR, SI, B, Pre == NullRef)
-#define MARK_RANGE_None(SI, B)
-#define MARK_RANGE_Elided(SI, B) RANGE_BARRIER_ELIDED()
-#define MARK_RANGE_Satb(SI, B) RANGE_BARRIER_SATB()
-#define MARK_RANGE_AlwaysLog(SI, B) RANGE_BARRIER_ALWAYSLOG()
-#define MARK_RANGE_Card(SI, B) /* after the store; one card covers the range */
-#define MARK_RANGE_GuardNull(SI, B)                                            \
-  SPEC_MARK_COMPONENT(RANGE, SI, B, AllPreNull)
+// Marking components per shape (scalar slot vs. bulk range).
+#define MARK_SCALAR_None()
+#define MARK_SCALAR_Elided() BARRIER_ELIDED(Val.Ref)
+#define MARK_SCALAR_Satb() BARRIER_SATB()
+#define MARK_SCALAR_AlwaysLog() BARRIER_ALWAYSLOG()
+#define MARK_SCALAR_Card() /* after the store: see BARRIER_CARD */
+#define MARK_RANGE_None()
+#define MARK_RANGE_Elided() RANGE_BARRIER_ELIDED()
+#define MARK_RANGE_Satb() RANGE_BARRIER_SATB()
+#define MARK_RANGE_AlwaysLog() RANGE_BARRIER_ALWAYSLOG()
+#define MARK_RANGE_Card() /* after the store; one card covers the range */
 
 // Cards are per-object; the statics area (B = NullRef) has none to dirty.
 // A store case dirties the card after its store: dirtied first, a refill
@@ -557,37 +437,34 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
   }
 
 // Remembered-set components: heap stores, and statics (roots: none).
-#define REM_HEAP_None(SI, B, ANYYOUNG)
-#define REM_HEAP_Elided(SI, B, ANYYOUNG) BARRIER_GEN_YOUNG(B)
-#define REM_HEAP_Kept(SI, B, ANYYOUNG) BARRIER_GEN_REMSET(B, ANYYOUNG)
-#define REM_HEAP_GuardYoung(SI, B, ANYYOUNG)                                   \
-  SPEC_REM_COMPONENT(SI, B, ANYYOUNG)
-#define REM_ROOT_None(SI, B, ANYYOUNG)
-#define REM_ROOT_Kept(SI, B, ANYYOUNG)
-#define REM_ROOT_GuardYoung(SI, B, ANYYOUNG)
+#define REM_HEAP_None(B, ANYYOUNG)
+#define REM_HEAP_Elided(B, ANYYOUNG) BARRIER_GEN_YOUNG(B)
+#define REM_HEAP_Kept(B, ANYYOUNG) BARRIER_GEN_REMSET(B, ANYYOUNG)
+#define REM_ROOT_None(B, ANYYOUNG)
+#define REM_ROOT_Kept(B, ANYYOUNG)
 
-// Kind traits: mark shape, rem shape, prologue, written object, operand
-// instruction, value test, store, width (2 for the fused Load* pairs).
+// Kind traits: mark shape, rem shape, prologue, written object, value
+// test, store, width (2 for the fused Load* pairs).
 #define PutFieldRef_TRAITS                                                     \
-  SCALAR, HEAP, PUTFIELD_REF_PROLOGUE_AT(IP[0], POP()), Obj, IP[0],            \
-      VAL_ANYYOUNG, storeRefRelease(SlotP, Val.Ref), 1
+  SCALAR, HEAP, PUTFIELD_REF_PROLOGUE_AT(IP[0], POP()), Obj, VAL_ANYYOUNG,     \
+      storeRefRelease(SlotP, Val.Ref), 1
 #define LoadPutFieldRef_TRAITS                                                 \
   SCALAR, HEAP, FUSE_LOAD(); PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]),     \
-      Obj, IP[1], VAL_ANYYOUNG, storeRefRelease(SlotP, Val.Ref), 2
+      Obj, VAL_ANYYOUNG, storeRefRelease(SlotP, Val.Ref), 2
 #define PutStaticRef_TRAITS                                                    \
-  SCALAR, ROOT, PUTSTATIC_REF_PROLOGUE(), NullRef, IP[0], false,               \
+  SCALAR, ROOT, PUTSTATIC_REF_PROLOGUE(), NullRef, false,                      \
       storeRefRelease(SlotP, Val.Ref), 1
 #define AAStore_TRAITS                                                         \
-  SCALAR, HEAP, AASTORE_PROLOGUE_AT(IP[0], POP()), Arr, IP[0], VAL_ANYYOUNG,   \
+  SCALAR, HEAP, AASTORE_PROLOGUE_AT(IP[0], POP()), Arr, VAL_ANYYOUNG,          \
       storeRefRelease(SlotP, Val.Ref), 1
 #define LoadAAStore_TRAITS                                                     \
   SCALAR, HEAP, FUSE_LOAD(); AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]), Arr,     \
-      IP[1], VAL_ANYYOUNG, storeRefRelease(SlotP, Val.Ref), 2
+      VAL_ANYYOUNG, storeRefRelease(SlotP, Val.Ref), 2
 #define ArrayFill_TRAITS                                                       \
-  RANGE, HEAP, ARRAYFILL_PROLOGUE(), Arr, IP[0], FILL_ANYYOUNG,                \
+  RANGE, HEAP, ARRAYFILL_PROLOGUE(), Arr, FILL_ANYYOUNG,                       \
       storeRefRangeFill(DstP, N, Val), 1
 #define ArrayCopy_TRAITS                                                       \
-  RANGE, HEAP, ARRAYCOPY_PROLOGUE(), Arr, IP[0], COPY_ANYYOUNG,                \
+  RANGE, HEAP, ARRAYCOPY_PROLOGUE(), Arr, COPY_ANYYOUNG,                       \
       storeRefRangeCopy(DstP, SrcP, N), 1
 
 #define NEXT1() NEXT()
@@ -595,18 +472,15 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
 #define STORE_CASE(K, Name, M, R, Rr)                                          \
   STORE_CASE_(K##_##Name, M, R, Rr, K##_TRAITS)
 #define STORE_CASE_(...) STORE_CASE_IMPL(__VA_ARGS__)
-#define STORE_CASE_IMPL(Op, M, R, Rr, MShape, RShape, Prologue, B, SI,        \
-                        ANYYOUNG, Store, W)                                    \
+#define STORE_CASE_IMPL(Op, M, R, Rr, MShape, RShape, Prologue, B, ANYYOUNG,  \
+                        Store, W)                                              \
   CASE(Op) {                                                                   \
     Prologue;                                                                  \
-    [[maybe_unused]] bool Deopt = false, Genuine = false;                      \
-    REARR_##Rr(B, MARK_##MShape##_##M(SI, B));                                 \
-    REM_##RShape##_##R(SI, B, ANYYOUNG);                                       \
+    REARR_##Rr(B, MARK_##MShape##_##M());                                      \
+    REM_##RShape##_##R(B, ANYYOUNG);                                           \
     Store;                                                                     \
     if constexpr (MarkPlan::M == MarkPlan::Card)                               \
       BARRIER_CARD(B);                                                         \
-    if (Deopt)                                                                 \
-      SPEC_DEOPT(W);                                                           \
     NEXT##W();                                                                 \
   }
 
@@ -854,12 +728,7 @@ RunStatus FastInterp::stepImpl(uint64_t MaxSteps) {
   CASE(Invoke) {
     if (Frames.size() >= MaxCallDepth)
       TRAP(StackOverflow);
-    // THE tiered dispatch point: the table resolves the callee's current
-    // version and advances its lifecycle (profiling, promotion, lazy
-    // young-spec invalidation). Untiered tables reduce this to one
-    // predicted branch plus the array load.
-    const FastMethod &Callee =
-        VT->invoke(static_cast<MethodId>(IP->A), Sites, youngEpoch());
+    const FastMethod &Callee = FP.Methods[static_cast<MethodId>(IP->A)];
     uint32_t NumArgs = IP->C;
     SP -= NumArgs;
     Frame &Cur = Frames.back();

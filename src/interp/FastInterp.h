@@ -23,23 +23,13 @@
 #include "gc/MutatorContext.h"
 #include "interp/Interpreter.h"
 #include "jit/FastCode.h"
-#include "jit/MethodVersionTable.h"
-
-#include <memory>
 
 namespace satb {
 
 class FastInterp {
 public:
   /// \p FP must be the translation of \p CP; both must outlive the engine.
-  /// Wraps \p FP in an internal untiered MethodVersionTable — execution
-  /// always resolves through a table (the single dispatch point).
   FastInterp(const FastProgram &FP, const CompiledProgram &CP, Heap &H);
-
-  /// Tiered construction: execute through \p VT (one table per engine —
-  /// tables are not thread-safe). \p VT and \p CP must outlive the
-  /// engine.
-  FastInterp(MethodVersionTable &VT, const CompiledProgram &CP, Heap &H);
 
   void attachSatb(SatbMarker *M) {
     Satb = M;
@@ -81,16 +71,6 @@ public:
   BarrierStats &stats() { return Stats; }
   const BarrierStats &stats() const { return Stats; }
 
-  /// The engine's dispatch table (tier state, lifecycle counters).
-  MethodVersionTable &versionTable() { return *VT; }
-  const MethodVersionTable &versionTable() const { return *VT; }
-
-  /// Stop-the-world hook: retire young-speculating versions after a
-  /// minor GC and transfer any of this engine's frames still executing
-  /// one. Must only run while the engine is parked (frames flushed).
-  /// No-op for untiered engines.
-  void invalidateYoungSpeculation() { VT->invalidateYoungSpecs(Frames); }
-
   /// SATB_DISPATCH_PROFILE support: record dynamic opcode-pair
   /// frequencies. Only *adjacent* executions are counted (the next
   /// instruction dispatched is the previous one's fall-through
@@ -123,21 +103,7 @@ private:
   /// path step() selects when enablePairProfile() was called.
   template <bool ProfilePairs> RunStatus stepImpl(uint64_t MaxSteps);
 
-  /// The speculative tier's forced-failure knob (TieredOptions::
-  /// ForceDeoptEvery): every k-th guard evaluation takes the failure
-  /// path. Deterministic per engine.
-  bool forcedDeopt() {
-    if (ForceDeoptEvery == 0 || ++GuardTick < ForceDeoptEvery)
-      return false;
-    GuardTick = 0;
-    return true;
-  }
-
-  /// The current minor-GC epoch for lazy young-spec invalidation.
-  uint64_t youngEpoch() const { return Gen ? Gen->stats().Collections : 0; }
-
-  std::unique_ptr<MethodVersionTable> OwnedVT; ///< wrap-mode table
-  MethodVersionTable *VT;                      ///< the dispatch point
+  const FastProgram &FP;
   Heap &H;
   SatbMarker *Satb = nullptr;
   IncrementalUpdateMarker *Inc = nullptr;
@@ -157,8 +123,6 @@ private:
   SiteStats *Sites = nullptr;  ///< Stats.flatData(), resolved once
   ObjRef *StaticR = nullptr;   ///< H.staticRefsData()
   int64_t *StaticI = nullptr;  ///< H.staticIntsData()
-  uint32_t ForceDeoptEvery = 0; ///< from the table's TieredOptions
-  uint32_t GuardTick = 0;       ///< forcedDeopt() cadence counter
   std::vector<uint64_t> PairProfile; ///< empty unless enablePairProfile()
 };
 

@@ -171,13 +171,13 @@ void Interpreter::refStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
     }
     break;
   case MarkPlan::Card:
+    // Dirtied before the caller's store, unlike FastInterp (after): this
+    // engine runs on one thread, and its driver (runWithConcurrentCycle)
+    // runs marker work only between instructions, so no card refill can
+    // clean and scan the object between this dirty and the store.
     BarrierCost += 2;
     if (Inc && Base != NullRef)
       Inc->recordWrite(Base);
-    break;
-  case MarkPlan::GuardNull:
-  case MarkPlan::GuardNullAlwaysLog:
-    assert(false && "guarded plans exist only in speculative translations");
     break;
   }
 
@@ -204,11 +204,6 @@ void Interpreter::refStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
         if (Gen)
           Gen->recordOldToYoung(Base);
       }
-    } else {
-      // Young-speculation profile: the barrier's own young test, kept as
-      // a counter. Both engines maintain it so per-site stats stay
-      // comparable.
-      ++SS.YoungSeen;
     }
   }
 }
@@ -226,8 +221,7 @@ void Interpreter::rangeStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
       break;
     }
   // PreNull counts executions whose whole destination range was pre-null:
-  // the range analogue of the per-slot counter, and the profile the
-  // speculative tier promotes on.
+  // the range analogue of the per-slot counter.
   if (AllPreNull)
     ++SS.PreNull;
 
@@ -265,14 +259,11 @@ void Interpreter::rangeStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
       }
     break;
   case MarkPlan::Card:
-    // Cards are per-object here: one dirty covers the whole range.
+    // Cards are per-object here: one dirty covers the whole range. Before
+    // the store is safe here for the reason given in refStoreBarrier.
     BarrierCost += 2;
     if (Inc && Base != NullRef)
       Inc->recordWrite(Base);
-    break;
-  case MarkPlan::GuardNull:
-  case MarkPlan::GuardNullAlwaysLog:
-    assert(false && "guarded plans exist only in speculative translations");
     break;
   }
 
@@ -299,8 +290,6 @@ void Interpreter::rangeStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
         if (Gen)
           Gen->recordOldToYoung(Base);
       }
-    } else {
-      ++SS.YoungSeen;
     }
   }
 }

@@ -37,16 +37,8 @@
 /// resets the headcount to zero, so a mutator released from pause N
 /// cannot satisfy pause N+1's headcount without actually parking again.
 ///
-/// Version invalidation rules (tiered execution, DESIGN.md): a parked or
-/// exited mutator has flushed its frame (IP/SP written back), so the
-/// pause work may retarget frames onto other versions of their methods —
-/// this is where MethodVersionTable::invalidateYoungSpecs runs, inside
-/// the same stopTheWorld that serves a minor collection. Outside a
-/// pause, versions are only ever invalidated by the owning engine itself
-/// (guard-failure deopt, or the lazy epoch check at its own invoke
-/// sites), never by another thread: tables are per-engine and the
-/// dynamic guards keep stale-but-still-executing versions sound until
-/// one of those points is reached.
+/// A parked or exited mutator has flushed its frame (IP/SP written back),
+/// so the pause work may read every frame for roots.
 ///
 //===----------------------------------------------------------------------===//
 

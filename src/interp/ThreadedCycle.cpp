@@ -27,18 +27,8 @@ MultiMutatorResult satb::runWithConcurrentMutators(
   TranslateOptions TO;
   TO.InsertSafepoints = true;
   TO.Fuse = Cfg.Fuse;
-  // Tiered mode: one version table per mutator (tables are not
-  // thread-safe; per-engine tables also keep promotion deterministic per
-  // thread). Untiered mode shares one static translation, wrapped by
-  // each engine in a zero-overhead table.
-  FastProgram FP;
-  std::vector<std::unique_ptr<MethodVersionTable>> Tables;
-  if (Cfg.Tiered.Enabled)
-    for (unsigned T = 0; T != Mutators; ++T)
-      Tables.push_back(
-          std::make_unique<MethodVersionTable>(P, CP, TO, Cfg.Tiered));
-  else
-    FP = translateProgram(P, CP, TO);
+  // One translation, shared read-only by every mutator.
+  const FastProgram FP = translateProgram(P, CP, TO);
 
   Heap H(P);
   SatbMarker Satb(H, Cfg.SatbBufferCap);
@@ -84,9 +74,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
   std::vector<std::unique_ptr<FastInterp>> Engines;
   Engines.reserve(Mutators);
   for (unsigned T = 0; T != Mutators; ++T) {
-    auto E = Cfg.Tiered.Enabled
-                 ? std::make_unique<FastInterp>(*Tables[T], CP, H)
-                 : std::make_unique<FastInterp>(FP, CP, H);
+    auto E = std::make_unique<FastInterp>(FP, CP, H);
     if (UseSatb)
       E->attachSatb(&Satb);
     else
@@ -139,14 +127,8 @@ MultiMutatorResult satb::runWithConcurrentMutators(
         return; // raced with a collection already served
       CollectRoots();
       Gen.collect(Roots);
-      for (auto &E : Engines) {
+      for (auto &E : Engines)
         E->context().invalidateNurseryTlab();
-        // Young-speculating versions assumed "allocated after the last
-        // GC"; the collection just falsified that, so retire them and
-        // transfer their frames while every mutator is parked with
-        // flushed frames (interp/Safepoint.h invalidation rules).
-        E->invalidateYoungSpeculation();
-      }
     });
   };
 
@@ -319,8 +301,6 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     R.Shards.push_back(E->stats());
     R.Merged.merge(E->stats());
   }
-  for (auto &Table : Tables)
-    R.Tiering.push_back(Table->counters());
   R.Violations = R.Merged.summarize().Violations;
   R.LoggedPreValues = Satb.stats().LoggedPreValues;
   for (unsigned T = 0; T != Mutators; ++T) {

@@ -32,11 +32,20 @@
 #include "interp/BarrierStats.h"
 #include "interp/Interpreter.h"
 #include "interp/Safepoint.h"
-#include "jit/MethodVersionTable.h"
 
 namespace satb {
 
 // --- Multi-mutator driver ---------------------------------------------------
+
+/// Pinned by perfbench/harness (Server.cpp:64-69); nothing reads it.
+struct TieredOptions {
+  bool Enabled = false;
+  uint32_t WarmInvocations = 8;
+  uint32_t HotInvocations = 32;
+  uint64_t MinSiteExecs = 16;
+  uint32_t MaxDeopts = 3;
+  uint32_t ForceDeoptEvery = 0;
+};
 
 enum class MultiMarkerKind { Satb, IncrementalUpdate };
 
@@ -79,11 +88,7 @@ struct MultiMutatorConfig {
   bool EnableNursery = false;
   size_t NurseryBytes = 256 * 1024;
   uint32_t PretenureBytes = 1024;
-  /// Tiered execution: when Enabled, every mutator gets its own
-  /// MethodVersionTable (tables are not thread-safe) and starts in the
-  /// profiling Baseline tier; minor collections invalidate
-  /// young-speculating versions inside the same stop-the-world pause
-  /// that serves them. Off by default.
+  /// Pinned by perfbench/harness (Server.cpp:64-69); unread.
   TieredOptions Tiered;
   /// Allocation-pressure pacing (gc/Pacer.h): when Pacer.Enabled the
   /// pacer replaces the scripted trigger — as many cycles as allocation
@@ -111,8 +116,6 @@ struct MultiMutatorResult : CycleTotals {
   /// Per-thread BarrierStats shards and their fold (BarrierStats::merge).
   std::vector<BarrierStats> Shards;
   BarrierStats Merged;
-  /// Per-mutator version-table counters (empty unless Cfg.Tiered.Enabled).
-  std::vector<TierCounters> Tiering;
   uint64_t Violations = 0;       ///< from the merged shards
   uint64_t LoggedPreValues = 0;  ///< SATB marker total (exact, lock-counted)
   /// Filled only when Cfg.DebugTraceCounts: TraceCounts[R] is how many

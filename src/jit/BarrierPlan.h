@@ -18,10 +18,6 @@
 ///  - rearrange: the Section 4.3 protocol store, whose kept SATB barrier
 ///    skips the log while its array is inside an active bracket.
 ///
-/// The speculative tier adds the guarded forms (GuardNull, GuardYoung):
-/// the component is skipped behind a dynamic guard and replayed
-/// conservatively, followed by a deopt, when the guard fails.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SATB_JIT_BARRIERPLAN_H
@@ -51,15 +47,12 @@ enum class MarkPlan : uint8_t {
   Satb,      ///< check marking, log a non-null pre-value
   AlwaysLog, ///< log a non-null pre-value without the marking check
   Card,      ///< dirty the written object's card (incremental update)
-  GuardNull, ///< speculative: skip while Pre == null, else Satb + deopt
-  GuardNullAlwaysLog, ///< speculative: as GuardNull over AlwaysLog
 };
 
 enum class RemPlan : uint8_t {
   None,      ///< no remembered set in this mode
   Elided,    ///< removed by the young-target proof
   Kept,      ///< old-to-young card dirty (a static's is its root scan)
-  GuardYoung ///< speculative: skip while the base is young, else Kept + deopt
 };
 
 struct BarrierPlan {
@@ -67,31 +60,12 @@ struct BarrierPlan {
   RemPlan Rem = RemPlan::None;
   bool Rearrange = false;
 
-  bool guarded() const {
-    return Mark == MarkPlan::GuardNull ||
-           Mark == MarkPlan::GuardNullAlwaysLog || Rem == RemPlan::GuardYoung;
-  }
   /// The rearrangement protocol modifies a kept SATB-flavor log only.
   bool rearranged() const {
     return Rearrange && (Mark == MarkPlan::Satb || Mark == MarkPlan::AlwaysLog);
   }
-  /// The speculative tier may guard a kept SATB-flavor log with Pre ==
-  /// null — not a card (it keys on the new value, which the guard cannot
-  /// discharge) and not a rearranged store (a logging protocol the guard
-  /// says nothing about).
-  bool canGuardNull() const {
-    return (Mark == MarkPlan::Satb || Mark == MarkPlan::AlwaysLog) &&
-           !rearranged();
-  }
-  /// ... and a kept remembered-set barrier at a heap store (a static's
-  /// is the minor collector's root scan, which no guard removes).
-  bool canGuardYoung(bool IsStatic) const {
-    return Rem == RemPlan::Kept && !IsStatic;
-  }
-
   /// The plan with every statically elided component put back — what
-  /// the Baseline (profiling) tier executes and what the code-size
-  /// model's no-elision column prices.
+  /// the code-size model's no-elision column prices.
   BarrierPlan kept(BarrierMode Mode) const {
     BarrierPlan P = *this;
     if (P.Mark == MarkPlan::Elided)
@@ -113,17 +87,6 @@ struct BarrierPlan {
       return MarkPlan::Card;
     }
     return MarkPlan::None;
-  }
-
-  /// One-byte encoding (FastInst::C of a speculative store site).
-  uint16_t bits() const {
-    return static_cast<uint16_t>(static_cast<unsigned>(Mark) |
-                                 static_cast<unsigned>(Rem) << 3 |
-                                 static_cast<unsigned>(Rearrange) << 5);
-  }
-  static BarrierPlan fromBits(uint16_t B) {
-    return BarrierPlan{static_cast<MarkPlan>(B & 7),
-                       static_cast<RemPlan>((B >> 3) & 3), ((B >> 5) & 1) != 0};
   }
 
   friend bool operator==(const BarrierPlan &A, const BarrierPlan &B) {

@@ -82,11 +82,9 @@ uint32_t CodeSizeModel::barrierCost(const Instruction &I, BarrierPlan P) {
   uint32_t Cost = 0;
   switch (P.Mark) {
   case MarkPlan::Satb:
-  case MarkPlan::GuardNull:
     Cost = SatbBarrierCost;
     break;
   case MarkPlan::AlwaysLog:
-  case MarkPlan::GuardNullAlwaysLog:
     Cost = SatbBarrierCost - 2; // no marking check
     break;
   case MarkPlan::Card:
@@ -96,8 +94,7 @@ uint32_t CodeSizeModel::barrierCost(const Instruction &I, BarrierPlan P) {
   case MarkPlan::Elided:
     break;
   }
-  if ((P.Rem == RemPlan::Kept || P.Rem == RemPlan::GuardYoung) &&
-      I.Op != Opcode::PutStatic)
+  if (P.Rem == RemPlan::Kept && I.Op != Opcode::PutStatic)
     Cost += GenRemSetCost;
   return Cost;
 }

@@ -48,9 +48,7 @@ enum class StoreKind : uint8_t {
 /// Rearrange) rows: the opcode Kind_Name executes exactly the plan
 /// {MarkPlan::Mark, RemPlan::Rem, Rearrange}. A kind lists only the plans
 /// it can be given — the rearrangement protocol marks aastores alone, and
-/// its bracket check stays unfused — so no row is a dead handler. The Spec
-/// row stands for every guarded plan: its handler reads the site's plan
-/// from FastInst::C.
+/// its bracket check stays unfused — so no row is a dead handler.
 #define SATB_PLANS_CLASSIC(S, K)                                               \
   S(K, Elided, Elided, None, 0)                                                \
   S(K, NoBarrier, None, None, 0)                                               \
@@ -65,9 +63,7 @@ enum class StoreKind : uint8_t {
   S(K, GenPreNull, Elided, Kept, 0)                                            \
   S(K, GenYoung, Satb, Elided, 0)                                              \
   S(K, GenElided, Elided, Elided, 0)
-#define SATB_PLANS_SPEC(S, K) S(K, Spec, GuardNull, GuardYoung, 0)
-#define SATB_PLANS_BULK(S, K)                                                  \
-  SATB_PLANS_CLASSIC(S, K) SATB_PLANS_GEN(S, K) SATB_PLANS_SPEC(S, K)
+#define SATB_PLANS_BULK(S, K) SATB_PLANS_CLASSIC(S, K) SATB_PLANS_GEN(S, K)
 
 /// The specialized opcode set, as an X-macro so the dispatch label table
 /// in FastInterp.cpp can never fall out of sync with the enum: X(Name)
@@ -134,9 +130,6 @@ enum class StoreKind : uint8_t {
   SATB_PLANS_GEN(S, AAStore)                                                   \
   /* a static's remembered-set component is its root scan: no code */         \
   S(PutStaticRef, Gen, Satb, Kept, 0)                                          \
-  SATB_PLANS_SPEC(S, PutFieldRef)                                              \
-  SATB_PLANS_SPEC(S, PutStaticRef)                                             \
-  SATB_PLANS_SPEC(S, AAStore)                                                  \
   SATB_PLANS_BULK(S, ArrayFill)                                                \
   SATB_PLANS_BULK(S, ArrayCopy)
 
@@ -206,9 +199,7 @@ enum class StoreKind : uint8_t {
   X(IAddIConst)                                                                \
   X(IMulIConst)                                                                \
   SATB_PLANS_GEN(S, LoadPutFieldRef)                                           \
-  SATB_PLANS_GEN(S, LoadAAStore)                                               \
-  SATB_PLANS_SPEC(S, LoadPutFieldRef)                                          \
-  SATB_PLANS_SPEC(S, LoadAAStore)
+  SATB_PLANS_GEN(S, LoadAAStore)
 
 /// The full dispatch set: base ops first, fused ops appended (isFusedOp
 /// relies on the ordering).
@@ -244,7 +235,7 @@ inline bool isFusedOp(FastOp Op) {
 /// The row a store opcode was generated from.
 struct StoreOpInfo {
   StoreKind Kind;
-  BarrierPlan Plan; ///< the Spec row's plan is {GuardNull, GuardYoung}
+  BarrierPlan Plan;
 };
 
 /// The store kind and plan behind \p Op, or std::nullopt for a non-store
@@ -305,23 +296,8 @@ struct FastProgram {
   uint32_t MaxFrameSlots = 0;
 };
 
-/// Which version of a method a translation produces (DESIGN.md "Tiered
-/// execution"). All tiers translate the *same* compiled body with the
-/// same Safepoint-poll placement, so their streams have identical
-/// lengths, branch displacements, and Site numbering — the property that
-/// makes deopt an index-preserving IP transfer.
-enum class TranslationTier : uint8_t {
-  /// Every barrier kept regardless of the static proof; the profiling
-  /// tier. Semantically identical to Static (a conservative barrier at a
-  /// proven-pre-null site logs nothing), it just pays the cost the proof
-  /// would have removed.
-  Baseline,
-  /// Today's translation: the Section 2/3 static elision applied.
-  Static,
-  /// Static plus profile-driven guarded elision at the sites named by
-  /// TranslateOptions::Spec; emits the *_Spec opcodes.
-  Speculative,
-};
+/// Pinned by perfbench/harness (Server.cpp:84, Table1.cpp:71); unread.
+enum class TranslationTier : uint8_t { Static };
 
 /// Translation knobs. The default translation is 1:1 with the compiled
 /// body (the equivalence test's invariant); the multi-mutator driver opts
@@ -342,38 +318,15 @@ struct TranslateOptions {
   /// pass on or off. On by default; tests that use the unfused
   /// translation as an oracle set it to false.
   bool Fuse = true;
-  /// Which tier this translation produces. Static is today's behavior;
-  /// Baseline suppresses the static elision (every barrier kept);
-  /// Speculative additionally consumes Spec.
+  /// Pinned by perfbench/harness (Server.cpp:84, Table1.cpp:71); unread.
   TranslationTier Tier = TranslationTier::Static;
-  /// Per-PC speculation requests for the method being translated. Only
-  /// read when Tier == Speculative; must outlive the call.
-  const SpeculativeFacts *Spec = nullptr;
 };
-
-/// The plan a store site with compiled plan \p Static executes in \p Tier:
-/// Static itself; for Baseline (the profiling tier) with its elided
-/// components kept — a conservative barrier at a proven-pre-null site
-/// logs nothing, so only BarrierCost and the Elided bookkeeping differ;
-/// for Speculative with the requested guards added. A guard is honored
-/// only for a component the static plan keeps (BarrierPlan::canGuard*):
-/// guarding a statically removed one would be a strict regression.
-BarrierPlan tierPlan(BarrierPlan Static, BarrierMode Mode,
-                     TranslationTier Tier, bool GuardNull, bool GuardYoung,
-                     bool IsStatic);
 
 /// Lowers \p CP (compiled from \p P) into the specialized stream. Field
 /// layout comes from computeFieldLayout(P) — the same function the Heap
 /// uses — so baked slot indices can never disagree with the heap.
 FastProgram translateProgram(const Program &P, const CompiledProgram &CP,
                              const TranslateOptions &Opts = {});
-
-/// Translates a single method — the MethodVersionTable's re-translation
-/// entry point. Produces exactly the stream translateProgram would have
-/// produced for \p M under \p Opts (same length, displacements, and Site
-/// numbering for every tier).
-FastMethod translateMethod(const Program &P, const CompiledProgram &CP,
-                           MethodId M, const TranslateOptions &Opts);
 
 } // namespace satb
 

@@ -36,8 +36,6 @@ std::optional<StoreOpInfo> satb::storeOpInfo(FastOp Op) {
 }
 
 std::optional<FastOp> satb::findStoreOp(StoreKind K, BarrierPlan P) {
-  if (P.guarded())
-    P = BarrierPlan{MarkPlan::GuardNull, RemPlan::GuardYoung};
   P.Rearrange = P.rearranged();
   if (K == StoreKind::PutStaticRef && P.Mark == MarkPlan::Elided)
     P.Rem = RemPlan::None;
@@ -48,22 +46,6 @@ std::optional<FastOp> satb::findStoreOp(StoreKind K, BarrierPlan P) {
   SATB_FAST_STORE_OPS(S)
 #undef S
   return std::nullopt;
-}
-
-BarrierPlan satb::tierPlan(BarrierPlan Static, BarrierMode Mode,
-                           TranslationTier Tier, bool GuardNull,
-                           bool GuardYoung, bool IsStatic) {
-  if (Tier == TranslationTier::Baseline)
-    return Static.kept(Mode);
-  if (Tier != TranslationTier::Speculative)
-    return Static;
-  BarrierPlan P = Static;
-  if (GuardNull && Static.canGuardNull())
-    P.Mark = Static.Mark == MarkPlan::AlwaysLog ? MarkPlan::GuardNullAlwaysLog
-                                                : MarkPlan::GuardNull;
-  if (GuardYoung && Static.canGuardYoung(IsStatic))
-    P.Rem = RemPlan::GuardYoung;
-  return P;
 }
 
 FastOp satb::opFor(StoreKind K, BarrierPlan P) {
@@ -359,269 +341,6 @@ uint32_t maxStackDepth(const CompiledProgram &CP, const Method &Body) {
   return static_cast<uint32_t>(Max);
 }
 
-/// One method's translation — the loop body translateProgram always had,
-/// extracted so the MethodVersionTable can re-translate a single hot
-/// method at a different tier. Every tier shares the Safepoint-poll
-/// placement below, so all of a method's versions have identical stream
-/// lengths, branch displacements, and Site numbering.
-FastMethod translateMethodImpl(const Program &P, const CompiledProgram &CP,
-                               MethodId M, const TranslateOptions &Opts,
-                               const std::vector<FieldSlot> &Layout,
-                               const std::vector<uint32_t> &Offsets) {
-  const CompiledMethod &CM = CP.Methods[M];
-  const Method &Body = CM.Body;
-  FastMethod FM;
-  FM.NumLocals = Body.NumLocals;
-  FM.NumArgs = Body.numArgs();
-  FM.FrameSlots = Body.NumLocals + maxStackDepth(CP, Body);
-
-  // Safepoint placement: a poll before every loop header (any target of
-  // a backward branch) and before every call bounds the instructions a
-  // mutator can execute between polls on any path — straight-line code
-  // without calls terminates on its own. Polls have no stack effect, so
-  // FrameSlots is computed on the original body above.
-  uint32_t NumPCs = static_cast<uint32_t>(Body.Instructions.size());
-  std::vector<bool> Poll(NumPCs, false);
-  if (Opts.InsertSafepoints) {
-    for (uint32_t PC = 0; PC != NumPCs; ++PC) {
-      const Instruction &Ins = Body.Instructions[PC];
-      if (isBranch(Ins.Op) && static_cast<uint32_t>(Ins.A) <= PC)
-        Poll[static_cast<uint32_t>(Ins.A)] = true;
-      if (Ins.Op == Opcode::Invoke)
-        Poll[PC] = true;
-    }
-  }
-  // NewIdx[PC] = the instruction's index in the emitted stream; its
-  // poll, if any, sits at NewIdx[PC] - 1. Branches land on the poll so
-  // every back-edge polls.
-  std::vector<uint32_t> NewIdx(NumPCs);
-  uint32_t Emitted = 0;
-  for (uint32_t PC = 0; PC != NumPCs; ++PC) {
-    if (Poll[PC])
-      ++Emitted;
-    NewIdx[PC] = Emitted++;
-  }
-
-  FM.Code.resize(Emitted);
-  for (uint32_t PC = 0; PC != NumPCs; ++PC) {
-    const Instruction &Ins = Body.Instructions[PC];
-    if (Poll[PC])
-      FM.Code[NewIdx[PC] - 1].Op =
-          static_cast<uint16_t>(FastOp::Safepoint);
-    FastInst &FI = FM.Code[NewIdx[PC]];
-    FI.A = Ins.A;
-    FI.B = Ins.B;
-    auto Set = [&FI](FastOp Op) { FI.Op = static_cast<uint16_t>(Op); };
-    // A store site lowers to the one opcode executing its plan; only a
-    // guarded plan needs FastInst::C (the Spec handlers decode it there).
-    auto SetStore = [&](StoreKind K) {
-      const SpeculativeFacts *Spec = Opts.Spec;
-      BarrierPlan SP = tierPlan(
-          CM.Plans[PC], CP.Options.Barrier, Opts.Tier,
-          Spec && PC < Spec->NullSpec.size() && Spec->NullSpec[PC],
-          Spec && PC < Spec->YoungSpec.size() && Spec->YoungSpec[PC],
-          K == StoreKind::PutStaticRef);
-      Set(opFor(K, SP));
-      if (SP.guarded())
-        FI.C = SP.bits();
-      FI.Site = Offsets[M] + PC;
-    };
-    switch (Ins.Op) {
-    case Opcode::IConst:
-      Set(FastOp::IConst);
-      break;
-    case Opcode::AConstNull:
-      Set(FastOp::AConstNull);
-      break;
-    case Opcode::ILoad:
-    case Opcode::ALoad:
-      Set(FastOp::Load);
-      break;
-    case Opcode::IStore:
-    case Opcode::AStore:
-      Set(FastOp::Store);
-      break;
-    case Opcode::IInc:
-      Set(FastOp::IInc);
-      break;
-    case Opcode::Dup:
-      Set(FastOp::Dup);
-      break;
-    case Opcode::Pop:
-      Set(FastOp::Pop);
-      break;
-    case Opcode::Swap:
-      Set(FastOp::Swap);
-      break;
-    case Opcode::IAdd:
-      Set(FastOp::IAdd);
-      break;
-    case Opcode::ISub:
-      Set(FastOp::ISub);
-      break;
-    case Opcode::IMul:
-      Set(FastOp::IMul);
-      break;
-    case Opcode::IDiv:
-      Set(FastOp::IDiv);
-      break;
-    case Opcode::IRem:
-      Set(FastOp::IRem);
-      break;
-    case Opcode::INeg:
-      Set(FastOp::INeg);
-      break;
-    case Opcode::GetField:
-    case Opcode::PutField: {
-      FieldId FId = static_cast<FieldId>(Ins.A);
-      const FieldDecl &FD = P.fieldDecl(FId);
-      FI.A = static_cast<int32_t>(Layout[FId].Slot);
-      FI.B = static_cast<int32_t>(FD.Owner);
-      if (Ins.Op == Opcode::GetField) {
-        Set(FD.Type == JType::Ref ? FastOp::GetFieldRef
-                                  : FastOp::GetFieldInt);
-      } else if (FD.Type == JType::Int) {
-        Set(FastOp::PutFieldInt);
-      } else {
-        SetStore(StoreKind::PutFieldRef);
-      }
-      break;
-    }
-    case Opcode::GetStatic: {
-      StaticFieldId SId = static_cast<StaticFieldId>(Ins.A);
-      Set(P.staticDecl(SId).Type == JType::Ref ? FastOp::GetStaticRef
-                                               : FastOp::GetStaticInt);
-      break;
-    }
-    case Opcode::PutStatic: {
-      StaticFieldId SId = static_cast<StaticFieldId>(Ins.A);
-      if (P.staticDecl(SId).Type == JType::Int) {
-        Set(FastOp::PutStaticInt);
-      } else {
-        SetStore(StoreKind::PutStaticRef);
-      }
-      break;
-    }
-    case Opcode::NewInstance:
-      Set(FastOp::NewInstance);
-      break;
-    case Opcode::NewRefArray:
-      Set(FastOp::NewRefArray);
-      break;
-    case Opcode::NewIntArray:
-      Set(FastOp::NewIntArray);
-      break;
-    case Opcode::AALoad:
-      Set(FastOp::AALoad);
-      break;
-    case Opcode::IALoad:
-      Set(FastOp::IALoad);
-      break;
-    case Opcode::IAStore:
-      Set(FastOp::IAStore);
-      break;
-    case Opcode::AAStore:
-      SetStore(StoreKind::AAStore);
-      break;
-    case Opcode::ArrayFill:
-      SetStore(StoreKind::ArrayFill);
-      break;
-    case Opcode::ArrayCopy:
-      SetStore(StoreKind::ArrayCopy);
-      break;
-    case Opcode::ArrayLength:
-      Set(FastOp::ArrayLength);
-      break;
-    case Opcode::Invoke:
-      Set(FastOp::Invoke);
-      FI.C = static_cast<uint16_t>(
-          CP.method(static_cast<MethodId>(Ins.A)).Body.numArgs());
-      break;
-    case Opcode::Goto:
-      Set(FastOp::Goto);
-      break;
-    case Opcode::IfEq:
-      Set(FastOp::IfEq);
-      break;
-    case Opcode::IfNe:
-      Set(FastOp::IfNe);
-      break;
-    case Opcode::IfLt:
-      Set(FastOp::IfLt);
-      break;
-    case Opcode::IfGe:
-      Set(FastOp::IfGe);
-      break;
-    case Opcode::IfGt:
-      Set(FastOp::IfGt);
-      break;
-    case Opcode::IfLe:
-      Set(FastOp::IfLe);
-      break;
-    case Opcode::IfICmpEq:
-      Set(FastOp::IfICmpEq);
-      break;
-    case Opcode::IfICmpNe:
-      Set(FastOp::IfICmpNe);
-      break;
-    case Opcode::IfICmpLt:
-      Set(FastOp::IfICmpLt);
-      break;
-    case Opcode::IfICmpGe:
-      Set(FastOp::IfICmpGe);
-      break;
-    case Opcode::IfICmpGt:
-      Set(FastOp::IfICmpGt);
-      break;
-    case Opcode::IfICmpLe:
-      Set(FastOp::IfICmpLe);
-      break;
-    case Opcode::IfNull:
-      Set(FastOp::IfNull);
-      break;
-    case Opcode::IfNonNull:
-      Set(FastOp::IfNonNull);
-      break;
-    case Opcode::IfACmpEq:
-      Set(FastOp::IfACmpEq);
-      break;
-    case Opcode::IfACmpNe:
-      Set(FastOp::IfACmpNe);
-      break;
-    case Opcode::Ret:
-      Set(FastOp::Ret);
-      break;
-    case Opcode::IReturn:
-      Set(FastOp::IReturn);
-      break;
-    case Opcode::AReturn:
-      Set(FastOp::AReturn);
-      break;
-    case Opcode::RearrangeEnter:
-      Set(FastOp::RearrangeEnter);
-      break;
-    case Opcode::RearrangeEnterDyn:
-      Set(FastOp::RearrangeEnterDyn);
-      break;
-    case Opcode::RearrangeExit:
-      Set(FastOp::RearrangeExit);
-      break;
-    }
-    // Branches become self-relative displacements: a taken branch is a
-    // single IP += A with no code-base register in the dispatch loop.
-    // With polls inserted, a branch targets its target's poll (if any)
-    // so the back-edge cannot skip it.
-    if (isBranch(Ins.Op)) {
-      uint32_t T = static_cast<uint32_t>(Ins.A);
-      uint32_t TIdx = NewIdx[T] - (Poll[T] ? 1 : 0);
-      FI.A = static_cast<int32_t>(TIdx) - static_cast<int32_t>(NewIdx[PC]);
-    }
-  }
-  if (Opts.Fuse)
-    fuseMethod(FM);
-  return FM;
-}
-
 } // namespace
 
 FastProgram satb::translateProgram(const Program &P, const CompiledProgram &CP,
@@ -632,14 +351,249 @@ FastProgram satb::translateProgram(const Program &P, const CompiledProgram &CP,
   FastProgram FP;
   FP.Methods.resize(CP.Methods.size());
   for (MethodId M = 0; M != CP.Methods.size(); ++M) {
-    FP.Methods[M] = translateMethodImpl(P, CP, M, Opts, Layout, Offsets);
-    FP.MaxFrameSlots = std::max(FP.MaxFrameSlots, FP.Methods[M].FrameSlots);
+    const CompiledMethod &CM = CP.Methods[M];
+    const Method &Body = CM.Body;
+    FastMethod &FM = FP.Methods[M];
+    FM.NumLocals = Body.NumLocals;
+    FM.NumArgs = Body.numArgs();
+    FM.FrameSlots = Body.NumLocals + maxStackDepth(CP, Body);
+
+    // Safepoint placement: a poll before every loop header (any target of
+    // a backward branch) and before every call bounds the instructions a
+    // mutator can execute between polls on any path — straight-line code
+    // without calls terminates on its own. Polls have no stack effect, so
+    // FrameSlots is computed on the original body above.
+    uint32_t NumPCs = static_cast<uint32_t>(Body.Instructions.size());
+    std::vector<bool> Poll(NumPCs, false);
+    if (Opts.InsertSafepoints) {
+      for (uint32_t PC = 0; PC != NumPCs; ++PC) {
+        const Instruction &Ins = Body.Instructions[PC];
+        if (isBranch(Ins.Op) && static_cast<uint32_t>(Ins.A) <= PC)
+          Poll[static_cast<uint32_t>(Ins.A)] = true;
+        if (Ins.Op == Opcode::Invoke)
+          Poll[PC] = true;
+      }
+    }
+    // NewIdx[PC] = the instruction's index in the emitted stream; its
+    // poll, if any, sits at NewIdx[PC] - 1. Branches land on the poll so
+    // every back-edge polls.
+    std::vector<uint32_t> NewIdx(NumPCs);
+    uint32_t Emitted = 0;
+    for (uint32_t PC = 0; PC != NumPCs; ++PC) {
+      if (Poll[PC])
+        ++Emitted;
+      NewIdx[PC] = Emitted++;
+    }
+
+    FM.Code.resize(Emitted);
+    for (uint32_t PC = 0; PC != NumPCs; ++PC) {
+      const Instruction &Ins = Body.Instructions[PC];
+      if (Poll[PC])
+        FM.Code[NewIdx[PC] - 1].Op =
+            static_cast<uint16_t>(FastOp::Safepoint);
+      FastInst &FI = FM.Code[NewIdx[PC]];
+      FI.A = Ins.A;
+      FI.B = Ins.B;
+      auto Set = [&FI](FastOp Op) { FI.Op = static_cast<uint16_t>(Op); };
+      // A store site lowers to the one opcode executing its plan.
+      auto SetStore = [&](StoreKind K) {
+        Set(opFor(K, CM.Plans[PC]));
+        FI.Site = Offsets[M] + PC;
+      };
+      switch (Ins.Op) {
+      case Opcode::IConst:
+        Set(FastOp::IConst);
+        break;
+      case Opcode::AConstNull:
+        Set(FastOp::AConstNull);
+        break;
+      case Opcode::ILoad:
+      case Opcode::ALoad:
+        Set(FastOp::Load);
+        break;
+      case Opcode::IStore:
+      case Opcode::AStore:
+        Set(FastOp::Store);
+        break;
+      case Opcode::IInc:
+        Set(FastOp::IInc);
+        break;
+      case Opcode::Dup:
+        Set(FastOp::Dup);
+        break;
+      case Opcode::Pop:
+        Set(FastOp::Pop);
+        break;
+      case Opcode::Swap:
+        Set(FastOp::Swap);
+        break;
+      case Opcode::IAdd:
+        Set(FastOp::IAdd);
+        break;
+      case Opcode::ISub:
+        Set(FastOp::ISub);
+        break;
+      case Opcode::IMul:
+        Set(FastOp::IMul);
+        break;
+      case Opcode::IDiv:
+        Set(FastOp::IDiv);
+        break;
+      case Opcode::IRem:
+        Set(FastOp::IRem);
+        break;
+      case Opcode::INeg:
+        Set(FastOp::INeg);
+        break;
+      case Opcode::GetField:
+      case Opcode::PutField: {
+        FieldId FId = static_cast<FieldId>(Ins.A);
+        const FieldDecl &FD = P.fieldDecl(FId);
+        FI.A = static_cast<int32_t>(Layout[FId].Slot);
+        FI.B = static_cast<int32_t>(FD.Owner);
+        if (Ins.Op == Opcode::GetField) {
+          Set(FD.Type == JType::Ref ? FastOp::GetFieldRef
+                                    : FastOp::GetFieldInt);
+        } else if (FD.Type == JType::Int) {
+          Set(FastOp::PutFieldInt);
+        } else {
+          SetStore(StoreKind::PutFieldRef);
+        }
+        break;
+      }
+      case Opcode::GetStatic: {
+        StaticFieldId SId = static_cast<StaticFieldId>(Ins.A);
+        Set(P.staticDecl(SId).Type == JType::Ref ? FastOp::GetStaticRef
+                                                 : FastOp::GetStaticInt);
+        break;
+      }
+      case Opcode::PutStatic: {
+        StaticFieldId SId = static_cast<StaticFieldId>(Ins.A);
+        if (P.staticDecl(SId).Type == JType::Int) {
+          Set(FastOp::PutStaticInt);
+        } else {
+          SetStore(StoreKind::PutStaticRef);
+        }
+        break;
+      }
+      case Opcode::NewInstance:
+        Set(FastOp::NewInstance);
+        break;
+      case Opcode::NewRefArray:
+        Set(FastOp::NewRefArray);
+        break;
+      case Opcode::NewIntArray:
+        Set(FastOp::NewIntArray);
+        break;
+      case Opcode::AALoad:
+        Set(FastOp::AALoad);
+        break;
+      case Opcode::IALoad:
+        Set(FastOp::IALoad);
+        break;
+      case Opcode::IAStore:
+        Set(FastOp::IAStore);
+        break;
+      case Opcode::AAStore:
+        SetStore(StoreKind::AAStore);
+        break;
+      case Opcode::ArrayFill:
+        SetStore(StoreKind::ArrayFill);
+        break;
+      case Opcode::ArrayCopy:
+        SetStore(StoreKind::ArrayCopy);
+        break;
+      case Opcode::ArrayLength:
+        Set(FastOp::ArrayLength);
+        break;
+      case Opcode::Invoke:
+        Set(FastOp::Invoke);
+        FI.C = static_cast<uint16_t>(
+            CP.method(static_cast<MethodId>(Ins.A)).Body.numArgs());
+        break;
+      case Opcode::Goto:
+        Set(FastOp::Goto);
+        break;
+      case Opcode::IfEq:
+        Set(FastOp::IfEq);
+        break;
+      case Opcode::IfNe:
+        Set(FastOp::IfNe);
+        break;
+      case Opcode::IfLt:
+        Set(FastOp::IfLt);
+        break;
+      case Opcode::IfGe:
+        Set(FastOp::IfGe);
+        break;
+      case Opcode::IfGt:
+        Set(FastOp::IfGt);
+        break;
+      case Opcode::IfLe:
+        Set(FastOp::IfLe);
+        break;
+      case Opcode::IfICmpEq:
+        Set(FastOp::IfICmpEq);
+        break;
+      case Opcode::IfICmpNe:
+        Set(FastOp::IfICmpNe);
+        break;
+      case Opcode::IfICmpLt:
+        Set(FastOp::IfICmpLt);
+        break;
+      case Opcode::IfICmpGe:
+        Set(FastOp::IfICmpGe);
+        break;
+      case Opcode::IfICmpGt:
+        Set(FastOp::IfICmpGt);
+        break;
+      case Opcode::IfICmpLe:
+        Set(FastOp::IfICmpLe);
+        break;
+      case Opcode::IfNull:
+        Set(FastOp::IfNull);
+        break;
+      case Opcode::IfNonNull:
+        Set(FastOp::IfNonNull);
+        break;
+      case Opcode::IfACmpEq:
+        Set(FastOp::IfACmpEq);
+        break;
+      case Opcode::IfACmpNe:
+        Set(FastOp::IfACmpNe);
+        break;
+      case Opcode::Ret:
+        Set(FastOp::Ret);
+        break;
+      case Opcode::IReturn:
+        Set(FastOp::IReturn);
+        break;
+      case Opcode::AReturn:
+        Set(FastOp::AReturn);
+        break;
+      case Opcode::RearrangeEnter:
+        Set(FastOp::RearrangeEnter);
+        break;
+      case Opcode::RearrangeEnterDyn:
+        Set(FastOp::RearrangeEnterDyn);
+        break;
+      case Opcode::RearrangeExit:
+        Set(FastOp::RearrangeExit);
+        break;
+      }
+      // Branches become self-relative displacements: a taken branch is a
+      // single IP += A with no code-base register in the dispatch loop.
+      // With polls inserted, a branch targets its target's poll (if any)
+      // so the back-edge cannot skip it.
+      if (isBranch(Ins.Op)) {
+        uint32_t T = static_cast<uint32_t>(Ins.A);
+        uint32_t TIdx = NewIdx[T] - (Poll[T] ? 1 : 0);
+        FI.A = static_cast<int32_t>(TIdx) - static_cast<int32_t>(NewIdx[PC]);
+      }
+    }
+    if (Opts.Fuse)
+      fuseMethod(FM);
+    FP.MaxFrameSlots = std::max(FP.MaxFrameSlots, FM.FrameSlots);
   }
   return FP;
-}
-
-FastMethod satb::translateMethod(const Program &P, const CompiledProgram &CP,
-                                 MethodId M, const TranslateOptions &Opts) {
-  return translateMethodImpl(P, CP, M, Opts, computeFieldLayout(P),
-                             CP.instrOffsets());
 }

@@ -3,16 +3,15 @@
 /// \file
 /// Every library default is a constant in code, so a run's configuration
 /// is what its code sets, whatever shell runs it. ctest runs this binary
-/// with SATB_PACER*, SATB_TIER*, SATB_DEOPT_EVERY and SATB_NO_FUSE set to
-/// non-default values (tests/CMakeLists.txt); the default-constructed
-/// configurations must still hold the constants below.
+/// with SATB_PACER* and SATB_NO_FUSE set to non-default values
+/// (tests/CMakeLists.txt); the default-constructed configurations must
+/// still hold the constants below.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "gc/Pacer.h"
 #include "interp/ThreadedCycle.h"
 #include "jit/FastCode.h"
-#include "jit/MethodVersionTable.h"
 
 #include "gtest/gtest.h"
 
@@ -29,31 +28,18 @@ void expectDefaultPacer(const PacerConfig &C) {
   EXPECT_EQ(C.MaxCycles, 0u);
 }
 
-void expectDefaultTiering(const TieredOptions &T) {
-  EXPECT_FALSE(T.Enabled);
-  EXPECT_EQ(T.WarmInvocations, 8u);
-  EXPECT_EQ(T.HotInvocations, 32u);
-  EXPECT_EQ(T.MinSiteExecs, 16u);
-  EXPECT_EQ(T.MaxDeopts, 3u);
-  EXPECT_EQ(T.ForceDeoptEvery, 0u);
-}
-
 TEST(ConfigDefaults, PacerConfig) { expectDefaultPacer(PacerConfig{}); }
-
-TEST(ConfigDefaults, TieredOptions) { expectDefaultTiering(TieredOptions{}); }
 
 TEST(ConfigDefaults, TranslateOptions) {
   TranslateOptions TO{};
   EXPECT_TRUE(TO.Fuse);
   EXPECT_FALSE(TO.InsertSafepoints);
-  EXPECT_EQ(TO.Tier, TranslationTier::Static);
 }
 
 TEST(ConfigDefaults, MultiMutatorConfig) {
   MultiMutatorConfig Cfg{};
   EXPECT_TRUE(Cfg.Fuse);
   expectDefaultPacer(Cfg.Pacer);
-  expectDefaultTiering(Cfg.Tiered);
 }
 
 } // namespace

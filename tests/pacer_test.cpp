@@ -11,7 +11,7 @@
 ///    executes exactly the steps of a plain FastInterp run;
 ///  - the differential grid: pacer-triggered cycles (several per run,
 ///    tiny thresholds) must preserve every semantic observable across
-///    {marker x generational x tiered} — same per-mutator step counts as
+///    {marker x generational} — same per-mutator step counts as
 ///    a plain run, oracle holds per cycle, zero elision violations;
 ///  - server mode: per-request accounting under pacer-driven cycles.
 ///
@@ -224,35 +224,32 @@ TEST(PacerDriver, PacerOffIsTheScriptedSingleCycleDriver) {
 TEST(PacerDriver, DifferentialGridPreservesSemanticObservables) {
   // Pacer-triggered cycles must be invisible to the mutators: per-mutator
   // step counts equal a plain single-engine run, the per-cycle oracle
-  // holds, and no elision violates, across the marker x generational x
-  // tiered grid. GC-timing-dependent counters (logged pre-values,
-  // remembered-set traffic) legitimately differ and are not compared.
+  // holds, and no elision violates, across the marker x generational
+  // grid. GC-timing-dependent counters (logged pre-values, remembered-set
+  // traffic) legitimately differ and are not compared.
   Workload W = makeJbbLike();
   for (MultiMarkerKind Kind :
        {MultiMarkerKind::Satb, MultiMarkerKind::IncrementalUpdate}) {
     for (bool Nursery : {false, true}) {
-      for (bool Tiered : {false, true}) {
-        BarrierMode Barrier =
-            Kind == MultiMarkerKind::Satb
-                ? (Nursery ? BarrierMode::Generational : BarrierMode::Satb)
-                : BarrierMode::CardMarking;
-        std::string What =
-            std::string(Kind == MultiMarkerKind::Satb ? "satb" : "incupdate") +
-            (Nursery ? "+nursery" : "") + (Tiered ? "+tiered" : "");
-        MultiMutatorConfig Cfg = pacedConfig();
-        Cfg.Marker = Kind;
-        Cfg.EnableNursery = Nursery;
-        Cfg.NurseryBytes = 32 * 1024;
-        Cfg.Tiered.Enabled = Tiered;
-        MultiMutatorResult R = runPaced(2, W, Barrier, 4000, Cfg);
-        expectClean(R, What);
-        EXPECT_GE(R.Cycles, 1u) << What;
-        uint64_t Plain = plainSteps(W, Barrier, 4000);
-        for (size_t T = 0; T != R.Steps.size(); ++T)
-          EXPECT_EQ(R.Steps[T], Plain) << What << " mutator " << T;
-        if (Nursery) {
-          EXPECT_GE(R.Minor.Collections, 1u) << What;
-        }
+      BarrierMode Barrier =
+          Kind == MultiMarkerKind::Satb
+              ? (Nursery ? BarrierMode::Generational : BarrierMode::Satb)
+              : BarrierMode::CardMarking;
+      std::string What =
+          std::string(Kind == MultiMarkerKind::Satb ? "satb" : "incupdate") +
+          (Nursery ? "+nursery" : "");
+      MultiMutatorConfig Cfg = pacedConfig();
+      Cfg.Marker = Kind;
+      Cfg.EnableNursery = Nursery;
+      Cfg.NurseryBytes = 32 * 1024;
+      MultiMutatorResult R = runPaced(2, W, Barrier, 4000, Cfg);
+      expectClean(R, What);
+      EXPECT_GE(R.Cycles, 1u) << What;
+      uint64_t Plain = plainSteps(W, Barrier, 4000);
+      for (size_t T = 0; T != R.Steps.size(); ++T)
+        EXPECT_EQ(R.Steps[T], Plain) << What << " mutator " << T;
+      if (Nursery) {
+        EXPECT_GE(R.Minor.Collections, 1u) << What;
       }
     }
   }
@@ -300,15 +297,13 @@ TEST(ServerWorkload, RequestModeCountsEveryRequest) {
     const char *Name;
     BarrierMode Barrier;
     MultiMarkerKind Marker;
-    bool Nursery, Tiered;
+    bool Nursery;
   };
   const ServerConfig Configs[] = {
-      {"satb", BarrierMode::Satb, MultiMarkerKind::Satb, false, false},
+      {"satb", BarrierMode::Satb, MultiMarkerKind::Satb, false},
       {"incupdate", BarrierMode::CardMarking,
-       MultiMarkerKind::IncrementalUpdate, false, false},
-      {"generational", BarrierMode::Generational, MultiMarkerKind::Satb, true,
-       false},
-      {"satb_tiered", BarrierMode::Satb, MultiMarkerKind::Satb, false, true}};
+       MultiMarkerKind::IncrementalUpdate, false},
+      {"generational", BarrierMode::Generational, MultiMarkerKind::Satb, true}};
   Workload W = makeServerLike();
   for (const ServerConfig &C : Configs) {
     MultiMutatorConfig Cfg = pacedConfig();
@@ -317,7 +312,6 @@ TEST(ServerWorkload, RequestModeCountsEveryRequest) {
     Cfg.Requests = 500;
     Cfg.EnableNursery = C.Nursery;
     Cfg.NurseryBytes = 128 * 1024;
-    Cfg.Tiered.Enabled = C.Tiered;
     MultiMutatorResult R = runPaced(4, W, C.Barrier, /*Scale=*/1, Cfg);
     expectClean(R, C.Name);
     ASSERT_EQ(R.RequestsCompleted.size(), 4u) << C.Name;

@@ -567,25 +567,23 @@ TEST(MultiMutator, MarkOnceUnderParallelMarking) {
 
 TEST(MultiMutator, NightlyStressMatrix) {
   // Quick by default (one round); the scheduled nightly CI run raises
-  // SATB_STRESS_ITERS and SATB_MARK_THREADS for a longer randomized soak.
-  // Each seed runs 4 mutators per marker, plain and in two storms. The
-  // deopt storm tiers aggressively and forces every 5th passing guard down
-  // the deopt path, hunting a frame transfer inside a marker handshake;
-  // inlining and elision are off to keep guards (only SATB has them). The
-  // pacer storm starts a cycle per 4 KiB allocated and asks for a minor GC
-  // at 25% nursery fill, racing begin handshakes with minor-GC pauses; as
-  // that depends on scheduling, a run checks only what it owes once its
-  // mutators exit: a pressure-triggered cycle and a minor GC besides the
-  // final nursery drain.
-  enum class Storm { None, Deopt, Pacer };
-  const char *const StormName[] = {"none", "deopt", "pacer"};
+  // SATB_STRESS_ITERS and SATB_MARK_THREADS for a longer randomized soak. Each
+  // seed runs 4 mutators per marker, plain, unelided and in a pacer storm. The
+  // unelided run turns inlining and elision off, so every barrier is kept and
+  // every store takes its marker's full barrier concurrently with marking. The
+  // pacer storm starts a cycle per 4 KiB allocated and asks for a minor GC at
+  // 25% nursery fill, racing begin handshakes with minor-GC pauses; as that
+  // depends on scheduling, a run checks only what it owes once its mutators
+  // exit: a pressure-triggered cycle and a minor GC besides the final nursery
+  // drain.
+  enum class Storm { None, Unelided, Pacer };
+  const char *const StormName[] = {"none", "unelided", "pacer"};
   const unsigned Iters = stressIters();
   const std::vector<unsigned> Threads = markThreadGrid();
-  uint64_t ForcedDeopts = 0, IncUpdatePromotions = 0;
   for (unsigned It = 0; It != Iters; ++It) {
     for (uint32_t Seed = 500 + It * 7; Seed != 502 + It * 7; ++Seed) {
       GeneratedProgram G = RandomProgramGenerator(Seed).generate();
-      for (Storm S : {Storm::None, Storm::Deopt, Storm::Pacer}) {
+      for (Storm S : {Storm::None, Storm::Unelided, Storm::Pacer}) {
         for (MultiMarkerKind Kind :
              {MultiMarkerKind::Satb, MultiMarkerKind::IncrementalUpdate}) {
           const bool IsSatb = Kind == MultiMarkerKind::Satb;
@@ -601,13 +599,9 @@ TEST(MultiMutator, NightlyStressMatrix) {
           Cfg.MarkThreads = Threads.back();
           Cfg.Fuse = Seed % 2 == 0;
           const int64_t Arg = S == Storm::Pacer ? 2000 : 150;
-          if (S == Storm::Deopt) {
+          if (S == Storm::Unelided) {
             Opts.ApplyElision = false;
             Opts.Inline.InlineLimit = 0;
-            Cfg.Tiered.Enabled = true;
-            Cfg.Tiered.WarmInvocations = 2;
-            Cfg.Tiered.HotInvocations = 4;
-            Cfg.Tiered.ForceDeoptEvery = 5;
           } else if (S == Storm::Pacer) {
             Cfg.Pacer.Enabled = true;
             Cfg.Pacer.TriggerBytes = 4 * 1024;
@@ -623,10 +617,6 @@ TEST(MultiMutator, NightlyStressMatrix) {
               runWithConcurrentMutators(4, *G.P, CP, G.Entry, {Arg}, Cfg);
           EXPECT_TRUE(R.OracleHolds) << What;
           EXPECT_EQ(R.Violations, 0u) << What;
-          for (const TierCounters &TC : R.Tiering) {
-            ForcedDeopts += TC.ForcedDeopts;
-            IncUpdatePromotions += IsSatb ? 0 : TC.StaticPromotions;
-          }
           if (S == Storm::Pacer) {
             EXPECT_GE(R.Pacing.PressureTriggers, 1u) << What;
             EXPECT_GE(R.Minor.Collections, 2u) << What;
@@ -635,8 +625,6 @@ TEST(MultiMutator, NightlyStressMatrix) {
       }
     }
   }
-  EXPECT_GT(ForcedDeopts, 0u);
-  EXPECT_GT(IncUpdatePromotions, 0u);
 }
 
 // --- Parallel marker replay: direct marker runs on a fixed graph ------------
