@@ -211,9 +211,9 @@ void Heap::enterMultiMutator(uint32_t CapacityRefs) {
   LiveWords.resize((CapacityRefs + 63) / 64, 0);
   MarkWords.resize((CapacityRefs + 63) / 64, 0);
   YoungWords.resize((CapacityRefs + 63) / 64, 0);
-  // Start ref handout at the next 64-aligned block so TLAB ref blocks own
-  // whole bitmap words and never share one with pre-existing objects.
-  RefCursor = (FirstFresh + 63) & ~static_cast<ObjRef>(63);
+  // Start ref handout at the next aligned block so TLAB ref blocks own
+  // whole bitmap lines and never share one with pre-existing objects.
+  RefCursor = (FirstFresh + RefBlockRefs - 1) & ~(RefBlockRefs - 1);
   MultiMutator = true;
 }
 
@@ -267,8 +267,6 @@ char *Heap::tlabBlock(Tlab &T, uint32_t Bytes) {
 ObjRef Heap::tlabInstall(Tlab &T, HeapObject *Obj) {
   std::memset(static_cast<void *>(Obj + 1), 0,
               Obj->blockBytes() - sizeof(HeapObject));
-  ++T.PendingObjects;
-  T.PendingBytes += Obj->blockBytes();
   if (T.NextRef == T.RefEnd) {
     std::lock_guard<std::mutex> Lock(SlowLock);
     T.NextRef = RefCursor;
@@ -276,24 +274,33 @@ ObjRef Heap::tlabInstall(Tlab &T, HeapObject *Obj) {
     T.RefEnd = RefCursor;
     assert(T.RefEnd <= Table.size() &&
            "heap over capacity — raise MultiMutatorConfig::HeapCapacityRefs");
-    publishTlab(T);
-  } else if (T.PendingBytes >= TlabChunkBytes) {
-    publishTlab(T);
   }
+  T.PendingBytes += Obj->blockBytes();
+  if (++T.PendingObjects == TlabPublishObjects ||
+      T.PendingBytes >= TlabChunkBytes)
+    publishTlab(T);
   ObjRef R = T.NextRef++;
+  const uint64_t Bit = uint64_t(1) << (R & 63);
+  // Between pauses this Tlab is the only writer of its block's live and
+  // young words (the collector writes them only with the world stopped),
+  // so a plain load and store sets the bit; no locked RMW is needed.
+  auto SetOwned = [&](LineVector<uint64_t> &Words) {
+    uint64_t &W = Words[R >> 6];
+    __atomic_store_n(&W, __atomic_load_n(&W, __ATOMIC_RELAXED) | Bit,
+                     __ATOMIC_RELAXED);
+  };
   // Live/mark bits first, table entry last: the release publication of
   // Table[R] is what makes the object visible, and any observer then sees
   // a fully formed (zeroed, live, maybe born-marked) object.
-  __atomic_fetch_or(&LiveWords[R >> 6], uint64_t(1) << (R & 63),
-                    __ATOMIC_RELAXED);
+  SetOwned(LiveWords);
   // Large blocks (>= TlabChunkBytes) bypass the chunk and are implicitly
   // pretenured; everything else inherits the current chunk's birth class.
   if (T.ChunkYoung && Obj->blockBytes() < TlabChunkBytes)
-    __atomic_fetch_or(&YoungWords[R >> 6], uint64_t(1) << (R & 63),
-                      __ATOMIC_RELAXED);
+    SetOwned(YoungWords);
+  // The marker claims bits in this word concurrently (Claim), so the
+  // born-marked bit must be a fetch_or.
   if (AllocateMarked.load(std::memory_order_relaxed))
-    __atomic_fetch_or(&MarkWords[R >> 6], uint64_t(1) << (R & 63),
-                      __ATOMIC_RELAXED);
+    __atomic_fetch_or(&MarkWords[R >> 6], Bit, __ATOMIC_RELAXED);
   __atomic_store_n(&Table[R], Obj, __ATOMIC_RELEASE);
   return R;
 }

@@ -198,6 +198,10 @@ struct FieldSlot {
 /// two can never disagree.
 std::vector<FieldSlot> computeFieldLayout(const Program &P);
 
+/// The cache-line size the multi-mutator layout is cut to: a TLAB owns
+/// whole lines of the side bitmaps, not just whole words (see Heap::Tlab).
+constexpr size_t CacheLineBytes = 64;
+
 class Heap {
 public:
   explicit Heap(const Program &P);
@@ -211,23 +215,37 @@ public:
   // --- TLAB allocation (multi-mutator mode) -------------------------------
   //
   // Each MutatorContext owns a Tlab: a private bump region carved from the
-  // shared slabs plus a private block of 64 consecutive ObjRefs. The fast
-  // path (bump + ref from the block) touches no shared mutable state; both
-  // refills go through the mutex-guarded slow path. Ref blocks are aligned
-  // to 64 so each context owns whole live/mark bitmap words for the objects
-  // it installs; only the marker's setMarked can touch them concurrently,
-  // which is why the bit sets are fetch_or. TLAB allocation ignores the
-  // block and ref free lists (valid only because frees happen solely in
-  // stop-the-world sweeps; recycled space is picked up again once the heap
-  // leaves multi-mutator mode).
+  // shared slabs plus a private block of RefBlockRefs consecutive ObjRefs.
+  // The fast path (bump + ref from the block) touches no shared mutable
+  // state; both refills go through the mutex-guarded slow path. Ref blocks
+  // are RefBlockRefs-aligned, so each context owns whole cache lines of the
+  // live, young and mark bitmaps (and a whole line-aligned run of the
+  // object table) for the objects it installs: two mutators never write
+  // one line. Between pauses only the owner writes its block's live and
+  // young bits, so it sets them with a plain load and store; the marker
+  // claims bits in the same mark words, so the born-marked bit stays a
+  // fetch_or (Claim). TLAB allocation ignores the block and ref free lists
+  // (valid only because frees happen solely in stop-the-world sweeps;
+  // recycled space is picked up again once the heap leaves multi-mutator
+  // mode).
   //
   // The allocation counters (numAllocated, numLive, bytesAllocatedApprox)
   // are shared, so a Tlab counts its installs privately and adds them
-  // to the heap's counters in batches: at a ref-block refill, once a
-  // chunk's worth of bytes is pending, and in publishTlab. Per-install
+  // to the heap's counters in batches: once TlabPublishObjects installs or
+  // a chunk's worth of bytes are pending, and in publishTlab. Per-install
   // atomic adds would bounce one cache line between every mutator and the
   // pacer's polls on every allocation, at a cost that depends on which
   // cores the threads land on.
+
+  /// ObjRefs per TLAB ref block: the refs whose bits fill one cache line
+  /// of a side bitmap.
+  static constexpr uint32_t RefBlockRefs =
+      CacheLineBytes / sizeof(uint64_t) * 64;
+  static_assert(RefBlockRefs == 512,
+                "8 words of 64 bits: one ref block per 64-byte bitmap line");
+  /// Installs a Tlab holds back from the heap's counters before it
+  /// publishes them.
+  static constexpr uint32_t TlabPublishObjects = 64;
 
   struct Tlab {
     char *Cur = nullptr;
@@ -235,7 +253,7 @@ public:
     ObjRef NextRef = 0;
     ObjRef RefEnd = 0;
     /// Installs not yet added to the heap's counters: fewer than
-    /// RefBlockRefs objects and TlabChunkBytes bytes.
+    /// TlabPublishObjects objects and TlabChunkBytes bytes.
     uint32_t PendingObjects = 0;
     uint64_t PendingBytes = 0;
     /// Objects carved from the current chunk are born young. True for
@@ -391,7 +409,8 @@ public:
 
   /// Fixes the object table and bitmaps at \p CapacityRefs entries so no
   /// allocation can ever move them while mutator threads run, and switches
-  /// ref handout to 64-aligned private blocks. Call with no threads live.
+  /// ref handout to RefBlockRefs-aligned private blocks. Call with no
+  /// threads live.
   void enterMultiMutator(uint32_t CapacityRefs);
   /// Leaves multi-mutator mode (table stays at capacity; the cursor's
   /// high-water mark is kept). Call with no threads live.
@@ -470,14 +489,15 @@ public:
 
   // --- Mark / liveness bitmaps ---------------------------------------------
   //
-  // Bitmap words are shared between the marker (setMarked) and allocating
-  // mutators (tlabInstall sets live + born-marked bits). TLAB ref blocks
-  // are 64-aligned so two mutators never touch the same word, but the
-  // marker may hit a word a mutator is installing into — hence fetch_or,
-  // except where one mark worker owns the bitmap (Claim). Relaxed is
-  // enough: the bits carry no payload; every read that decides
-  // liveness/sweeping happens at a stop-the-world point ordered by the
-  // safepoint handshake.
+  // Mark words are shared between the marker (setMarked) and allocating
+  // mutators (tlabInstall sets born-marked bits). TLAB ref blocks are
+  // RefBlockRefs-aligned so two mutators never touch the same line, but
+  // the marker may hit a word a mutator is installing into — hence
+  // fetch_or, except where one mark worker owns the bitmap (Claim). Live
+  // and young words have one writer at a time: the owning TLAB between
+  // pauses, the collector inside them. Relaxed is enough: the bits carry
+  // no payload; every read that decides liveness/sweeping happens at a
+  // stop-the-world point ordered by the safepoint handshake.
 
   bool isLive(ObjRef R) const {
     return R < Table.size() &&
@@ -654,12 +674,39 @@ private:
     return (static_cast<size_t>(refHighWater()) + 63) / 64;
   }
 
+  /// Line-aligned storage for the object table and the side bitmaps, so
+  /// that a ref block's bitmap words start a line rather than straddle
+  /// two. It over-allocates by a line and keeps the pointer operator new
+  /// returned just below the aligned one.
+  template <typename T> struct LineAlignedAllocator {
+    using value_type = T;
+    LineAlignedAllocator() = default;
+    template <typename U>
+    LineAlignedAllocator(const LineAlignedAllocator<U> &) {}
+    T *allocate(size_t N) {
+      char *Raw = static_cast<char *>(::operator new(
+          N * sizeof(T) + sizeof(void *) + CacheLineBytes - 1));
+      uintptr_t Aligned =
+          (reinterpret_cast<uintptr_t>(Raw) + sizeof(void *) +
+           CacheLineBytes - 1) &
+          ~uintptr_t(CacheLineBytes - 1);
+      reinterpret_cast<void **>(Aligned)[-1] = Raw;
+      return reinterpret_cast<T *>(Aligned);
+    }
+    void deallocate(T *Ptr, size_t) {
+      ::operator delete(reinterpret_cast<void **>(Ptr)[-1]);
+    }
+    bool operator==(const LineAlignedAllocator &) const { return true; }
+  };
+  template <typename T>
+  using LineVector = std::vector<T, LineAlignedAllocator<T>>;
+
   const Program &P;
   /// Indexed directly by ObjRef; Table[0] is always null.
-  std::vector<HeapObject *> Table;
-  std::vector<uint64_t> LiveWords;  ///< bit R: ObjRef R is live
-  std::vector<uint64_t> MarkWords;  ///< bit R: ObjRef R is marked
-  std::vector<uint64_t> YoungWords; ///< bit R: ObjRef R is nursery-resident
+  LineVector<HeapObject *> Table;
+  LineVector<uint64_t> LiveWords;  ///< bit R: ObjRef R is live
+  LineVector<uint64_t> MarkWords;  ///< bit R: ObjRef R is marked
+  LineVector<uint64_t> YoungWords; ///< bit R: ObjRef R is nursery-resident
   /// Last freed ObjRef, or NullRef. Each freed entry holds the next link
   /// as (Next << 1) | 1; the tag keeps it apart from an object pointer
   /// (8-aligned) and from null, and costs no memory beyond the entry the
@@ -697,12 +744,12 @@ private:
   // --- Multi-mutator state -------------------------------------------------
   /// Guards slab refills, TLAB chunk carving, and ref-block handout; the
   /// only lock on the allocation path, taken once per ~8 KiB of payload or
-  /// 64 installs.
+  /// RefBlockRefs installs.
   std::mutex SlowLock;
   bool MultiMutator = false;
-  /// Next unhanded ObjRef in multi-mutator mode (64-aligned handout).
+  /// Next unhanded ObjRef in multi-mutator mode (RefBlockRefs-aligned
+  /// handout).
   ObjRef RefCursor = 0;
-  static constexpr uint32_t RefBlockRefs = 64;
   static constexpr uint32_t TlabChunkBytes = 8192;
 
   // --- Nursery state -------------------------------------------------------

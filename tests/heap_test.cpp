@@ -232,36 +232,85 @@ TEST_F(HeapFixture, BytesAllocatedGrows) {
 }
 
 TEST_F(HeapFixture, TlabCountersPublishInBatches) {
-  // TLAB installs reach the shared counters at a ref-block refill, once
-  // a chunk's worth of bytes is pending, or at publishTlab -- never later.
+  // TLAB installs reach the shared counters once TlabPublishObjects
+  // installs or a chunk's worth of bytes are pending, or at publishTlab --
+  // never later.
   Heap H(P);
   H.enterMultiMutator(1u << 12);
   Heap::Tlab T;
   ObjRef First = H.allocateObjectTlab(T, C); // takes the first ref block
   const uint64_t Block = H.object(First).blockBytes();
-  EXPECT_EQ(H.numAllocated(), 1u);
-  EXPECT_EQ(H.bytesAllocatedApprox(), Block);
-  for (int I = 0; I != 10; ++I)
+  for (int I = 1; I != 11; ++I)
     H.allocateObjectTlab(T, C);
-  EXPECT_EQ(H.numAllocated(), 1u) << "small installs stay pending";
-  EXPECT_EQ(T.PendingObjects, 10u);
+  EXPECT_EQ(H.numAllocated(), 0u) << "small installs stay pending";
+  EXPECT_EQ(T.PendingObjects, 11u);
   H.publishTlab(T);
   EXPECT_EQ(H.numAllocated(), 11u);
   EXPECT_EQ(H.numLive(), 11u);
   EXPECT_EQ(H.bytesAllocatedApprox(), 11 * Block);
   EXPECT_EQ(T.PendingObjects, 0u);
 
-  // The 65th install opens the next ref block and publishes.
-  for (int I = 11; I != 65; ++I)
+  // The TlabPublishObjects-th pending install publishes.
+  for (uint32_t I = 1; I != Heap::TlabPublishObjects; ++I)
     H.allocateObjectTlab(T, C);
-  EXPECT_EQ(H.numAllocated(), 65u);
+  EXPECT_EQ(H.numAllocated(), 11u);
+  H.allocateObjectTlab(T, C);
+  EXPECT_EQ(H.numAllocated(), 11u + Heap::TlabPublishObjects);
   EXPECT_EQ(T.PendingObjects, 0u);
+
+  // The (RefBlockRefs + 1)-th install opens the next ref block; nothing
+  // is counted twice or lost across the refill.
+  ObjRef Last = NullRef;
+  for (uint32_t I = 11 + Heap::TlabPublishObjects; I != Heap::RefBlockRefs + 1;
+       ++I)
+    Last = H.allocateObjectTlab(T, C);
+  EXPECT_EQ(Last, First + Heap::RefBlockRefs);
+  EXPECT_EQ(H.numAllocated() + T.PendingObjects, Heap::RefBlockRefs + 1);
+  EXPECT_LT(T.PendingObjects, Heap::TlabPublishObjects);
 
   // A block of at least a chunk's bytes publishes at once.
   ObjRef Big = H.allocateRefArrayTlab(T, 4096);
-  EXPECT_EQ(H.numAllocated(), 66u);
+  EXPECT_EQ(H.numAllocated(), Heap::RefBlockRefs + 2);
   EXPECT_EQ(H.bytesAllocatedApprox(),
-            65 * Block + H.object(Big).blockBytes());
+            (Heap::RefBlockRefs + 1) * Block + H.object(Big).blockBytes());
+  H.exitMultiMutator();
+}
+
+TEST_F(HeapFixture, TlabsNeverShareABitmapLine) {
+  // A ref block's bits fill one cache line of each side bitmap, so TLABs
+  // that refill in turn must never hand out refs from one block: the
+  // first block starts aligned above the single-mutator objects, and
+  // every later block belongs to exactly one TLAB. Pending counts still
+  // publish every TlabPublishObjects installs.
+  Heap H(P);
+  constexpr uint32_t NumPre = 40;
+  for (uint32_t I = 0; I != NumPre; ++I)
+    ASSERT_LT(H.allocateObject(C), Heap::RefBlockRefs);
+  H.enterMultiMutator(1u << 14);
+  Heap::Tlab Tlabs[3];
+  uint32_t Installs[3] = {};
+  std::map<ObjRef, int> Owner; // R / RefBlockRefs -> TLAB
+  for (uint32_t I = 0; I != 3 * Heap::RefBlockRefs + 100; ++I) {
+    const int K = static_cast<int>(I % 3);
+    ObjRef R = H.allocateObjectTlab(Tlabs[K], C);
+    ++Installs[K];
+    EXPECT_TRUE(H.isLive(R)) << R;
+    auto [It, Fresh] = Owner.emplace(R / Heap::RefBlockRefs, K);
+    EXPECT_EQ(It->second, K) << "ref " << R << " lies in another TLAB's block";
+    if (Fresh) {
+      EXPECT_EQ(R % Heap::RefBlockRefs, 0u) << "block opens mid-line";
+    }
+  }
+  EXPECT_EQ(Owner.begin()->first, 1u) << "first block shares a line with "
+                                         "single-mutator objects";
+  EXPECT_EQ(Owner.size(), 6u) << "each TLAB refills exactly once";
+  uint64_t Published = NumPre;
+  for (int K = 0; K != 3; ++K) {
+    EXPECT_EQ(Tlabs[K].PendingObjects,
+              Installs[K] % Heap::TlabPublishObjects);
+    Published += Installs[K] - Tlabs[K].PendingObjects;
+  }
+  EXPECT_EQ(H.numAllocated(), Published);
   H.exitMultiMutator();
 }
 
@@ -598,13 +647,17 @@ TEST_F(HeapFixture, HighWaterWalksMatchFullTableWalks) {
     if (I == 150) // pretenured (born old), mid-heap
       BigMid = H.allocateRefArrayTlab(Tlabs[1], 4096);
   }
-  // A pretenured array is born old; allocated last, it holds the highest
-  // ObjRef, so its card is the last one in use.
+  // Fill the highest ref block but for one ref. A pretenured array is
+  // born old; allocated last into that ref, it holds the highest ObjRef,
+  // so its card is the last one in use.
+  while (Tlabs[2].RefEnd - Tlabs[2].NextRef > 1)
+    Young.push_back(H.allocateObjectTlab(Tlabs[2], C));
   ObjRef Big = H.allocateRefArrayTlab(Tlabs[2], 4096);
   EXPECT_FALSE(H.isYoung(Big));
   EXPECT_GT(Big, Young.back());
-  EXPECT_LT(H.refHighWater(), 1024u);
-  EXPECT_LE(Big, H.refHighWater() - 1);
+  // The pre-existing objects' block, then one block per TLAB.
+  EXPECT_EQ(H.refHighWater(), 4 * Heap::RefBlockRefs);
+  EXPECT_EQ(Big, H.refHighWater() - 1);
   std::vector<ObjRef> Ascending = Young; // TLABs interleave their blocks
   std::sort(Ascending.begin(), Ascending.end());
   EXPECT_EQ(youngByFullWalk(H), Ascending);
@@ -690,7 +743,8 @@ TEST_F(HeapFixture, WalksCoverWholeTableAfterExitMultiMutator) {
   H.enterMultiMutator(Capacity);
   Heap::Tlab T;
   ObjRef Mid = H.allocateObjectTlab(T, C);
-  EXPECT_EQ(H.refHighWater(), 128u);
+  EXPECT_EQ(Mid, Heap::RefBlockRefs);
+  EXPECT_EQ(H.refHighWater(), 2 * Heap::RefBlockRefs);
   H.exitMultiMutator();
   EXPECT_EQ(H.refHighWater(), Capacity);
   ObjRef Post = H.allocateObject(C);

@@ -23,9 +23,11 @@
 #include "RandomProgram.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <iterator>
 #include <random>
+#include <thread>
 #include <tuple>
 
 using namespace satb;
@@ -337,6 +339,74 @@ TEST(MultiMutator, BulkStoresUnderConcurrentMarking) {
       EXPECT_GT(R.Marked, 0u);
     }
   }
+}
+
+// --- TLAB installs against a concurrent marker ------------------------------
+
+TEST(MultiMutator, ConcurrentTlabInstallsKeepEveryBit) {
+  // Two installers set the live and young bits of their own ref blocks
+  // with plain loads and stores, born-marked bits with fetch_or, while a
+  // thread standing in for the marker claims mark bits in the same blocks
+  // and reads every published object's live and young bits. Under TSan
+  // this checks the owner-only stores; afterwards no bit may be lost.
+  Program P;
+  ClassId C = P.addClass("C");
+  P.addField(C, "r", JType::Ref);
+  constexpr uint32_t PerThread = 20000;
+  constexpr uint32_t LargeEvery = 500; // a block above a TLAB chunk: old
+  Heap H(P);
+  H.enterMultiMutator(1u << 16);
+  H.enableNursery(); // overflows into young-born old-space chunks
+  H.setAllocateMarked(true);
+
+  Heap::Tlab Tlabs[2];
+  std::vector<ObjRef> Refs[2];
+  std::atomic<unsigned> Running{2};
+  std::atomic<uint64_t> Seen{0}, Bad{0};
+  auto Install = [&](int K) {
+    for (uint32_t I = 0; I != PerThread; ++I)
+      Refs[K].push_back(I % LargeEvery == 0
+                            ? H.allocateIntArrayTlab(Tlabs[K], 1100)
+                            : H.allocateObjectTlab(Tlabs[K], C));
+    H.publishTlab(Tlabs[K]);
+    Running.fetch_sub(1, std::memory_order_release);
+  };
+  std::thread Marker([&] {
+    // Passes while the installers run, then one over the finished blocks.
+    const ObjRef End = H.maxRef();
+    for (bool Last = false; !Last;) {
+      Last = Running.load(std::memory_order_acquire) == 0;
+      for (ObjRef R = 1; R <= End; ++R) {
+        const HeapObject *O = H.objectOrNull(R);
+        if (!O)
+          continue;
+        Seen.fetch_add(1, std::memory_order_relaxed);
+        bool Small = O->Kind == ObjectKind::Object;
+        if (!H.isLive(R) || H.isYoung(R) != Small)
+          Bad.fetch_add(1, std::memory_order_relaxed);
+        H.tryClaimMark<Claim::Shared>(R);
+      }
+    }
+  });
+  std::thread A(Install, 0), B(Install, 1);
+  A.join();
+  B.join();
+  Marker.join();
+
+  EXPECT_EQ(Bad.load(), 0u) << "the marker saw a published object without "
+                               "its live or young bit";
+  EXPECT_GE(Seen.load(), 2u * PerThread);
+  EXPECT_EQ(H.numAllocated(), 2u * PerThread);
+  for (int K = 0; K != 2; ++K)
+    for (uint32_t I = 0; I != PerThread; ++I) {
+      ObjRef R = Refs[K][I];
+      ASSERT_TRUE(H.isLive(R)) << "thread " << K << " install " << I;
+      ASSERT_TRUE(H.isMarked(R)) << "thread " << K << " install " << I;
+      ASSERT_EQ(H.isYoung(R), I % LargeEvery != 0)
+          << "thread " << K << " install " << I;
+    }
+  EXPECT_TRUE(H.minorGCRequested()) << "the nursery never overflowed";
+  H.exitMultiMutator();
 }
 
 // --- Frame-rooted live data under multi-mutator marking --------------------
