@@ -128,6 +128,7 @@ char *Heap::carveFromSlab(uint32_t Bytes) {
 }
 
 char *Heap::oldBlockMem(uint32_t Bytes) {
+  releaseSwept();
   char *Mem = nullptr;
   if (Bytes <= SmallClassBytes) {
     char *&Head = SmallFree[Bytes / 8];
@@ -178,6 +179,7 @@ ObjRef Heap::install(HeapObject *Obj) {
   ++NumAllocated;
   ++NumLive;
   BytesAllocated += Obj->blockBytes();
+  releaseSwept();
   ObjRef R = FreeRefHead;
   if (R != NullRef) {
     FreeRefHead =
@@ -403,6 +405,7 @@ void Heap::release(ObjRef R) {
 void Heap::free(ObjRef R) {
   assert(R != NullRef && R < Table.size() && isObject(Table[R]) &&
          "freeing a bad reference");
+  releaseSwept();
   release(R);
   LiveWords[R >> 6] &= ~(uint64_t(1) << (R & 63));
   MarkWords[R >> 6] &= ~(uint64_t(1) << (R & 63));
@@ -425,23 +428,39 @@ void Heap::clearMarks() {
 }
 
 size_t Heap::sweepUnmarked() {
+  // The previous sweep's objects reach the lists before this one's.
+  releaseSwept();
   // Ref 0 is the ref list's end marker; it is never live, so never dead.
   assert(!(LiveWords[0] & 1) && "ObjRef 0 is live");
+  const size_t WE = highWaterWords();
+  if (SweptWords.size() < WE)
+    SweptWords.resize(WE, 0);
   size_t Freed = 0;
-  for (size_t WI = 0, WE = highWaterWords(); WI != WE; ++WI) {
+  for (size_t WI = 0; WI != WE; ++WI) {
     uint64_t Dead = LiveWords[WI] & ~MarkWords[WI];
     if (!Dead)
       continue;
     // Dead bits are unmarked, and clearMarks below zeroes the mark word.
     LiveWords[WI] &= ~Dead;
     YoungWords[WI] &= ~Dead;
+    SweptWords[WI] = Dead;
+    if (SweptEnd == 0)
+      SweptBegin = WI;
+    SweptEnd = WI + 1;
     Freed += static_cast<size_t>(__builtin_popcountll(Dead));
-    for (; Dead; Dead &= Dead - 1)
-      release(static_cast<ObjRef>(WI * 64 + __builtin_ctzll(Dead)));
   }
   NumLive -= Freed;
   clearMarks();
   return Freed;
+}
+
+void Heap::releaseSweptWords() {
+  for (size_t WI = SweptBegin; WI != SweptEnd; ++WI) {
+    for (uint64_t Dead = SweptWords[WI]; Dead; Dead &= Dead - 1)
+      release(static_cast<ObjRef>(WI * 64 + __builtin_ctzll(Dead)));
+    SweptWords[WI] = 0;
+  }
+  SweptBegin = SweptEnd = 0;
 }
 
 bool Heap::allLiveAndMarked(const std::vector<uint64_t> &Bits) const {

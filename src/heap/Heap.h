@@ -225,9 +225,9 @@ public:
   // young bits, so it sets them with a plain load and store; the marker
   // claims bits in the same mark words, so the born-marked bit stays a
   // fetch_or (Claim). TLAB allocation ignores the block and ref free lists
-  // (valid only because frees happen solely in stop-the-world sweeps;
-  // recycled space is picked up again once the heap leaves multi-mutator
-  // mode).
+  // (and the coordinator's releaseSwept pushes them while mutators run,
+  // which is safe only because no TLAB reads them; recycled space is
+  // picked up again once the heap leaves multi-mutator mode).
   //
   // The allocation counters (numAllocated, numLive, bytesAllocatedApprox)
   // are shared, so a Tlab counts its installs privately and adds them
@@ -462,12 +462,15 @@ public:
   /// \returns the object or null if freed/never allocated (for GC sweeps
   /// and oracles). Acquire pairs with the release publication of Table[R]
   /// in install/tlabInstall: an index-based scan (e.g. card rescans) that
-  /// observes the entry also observes the zeroed payload behind it.
+  /// observes the entry also observes the zeroed payload and the live bit
+  /// set before it. An object the last sweep freed but has not yet
+  /// released (see sweepUnmarked) still has its entry, but no live bit,
+  /// and reads as freed: a card scan must not follow its stale slots.
   HeapObject *objectOrNull(ObjRef R) {
     if (R == NullRef || R >= Table.size())
       return nullptr;
     HeapObject *Entry = __atomic_load_n(&Table[R], __ATOMIC_ACQUIRE);
-    return isObject(Entry) ? Entry : nullptr;
+    return isObject(Entry) && isLive(R) ? Entry : nullptr;
   }
 
   const FieldSlot &fieldSlot(FieldId F) const {
@@ -603,11 +606,28 @@ public:
   /// The epoch tracing stamps are read and written in: 1 .. 2^14 - 1.
   /// Changes only in clearMarks, at a stop-the-world point.
   TraceStamp traceEpoch() const { return TraceEpoch; }
-  /// Frees every live-but-unmarked object, then clears marks. Each bitmap
-  /// word is updated once for all its dead objects; per object only the
-  /// block and the table entry are written. \returns the number of
-  /// objects freed. Call only with marking complete.
+  /// Frees every live-but-unmarked object, then clears marks: a pass over
+  /// the bitmap words below refHighWater() that clears each dead object's
+  /// live and young bits and records it as swept. \returns the number of
+  /// objects freed, already subtracted from numLive(). Nothing per object
+  /// happens here: the swept objects' blocks and refs reach the free lists
+  /// only in releaseSwept. Call only with marking complete, with the world
+  /// stopped in multi-mutator mode (a TLAB writes its live and young words
+  /// with plain stores).
   size_t sweepUnmarked();
+  /// Releases (see release) every object the last sweepUnmarked freed, in
+  /// ascending ObjRef order, exactly as an eager sweep would have. A
+  /// single-mutator heap calls it itself before its next free-list push
+  /// or pop: install's ref pop, oldBlockMem, free and the next sweep. In
+  /// multi-mutator mode the driver calls it once the finish pause ends,
+  /// while mutators run and before any other pause: TLABs never touch the
+  /// free lists, FreeRefHead or a dead object's entry or block.
+  void releaseSwept() {
+    if (SweptEnd != 0)
+      releaseSweptWords();
+  }
+  /// True from a sweep that freed something until its releaseSwept.
+  bool hasSweptUnreleased() const { return SweptEnd != 0; }
   /// The oracle's end-of-cycle check, a word at a time: \returns true iff
   /// every object whose bit is set in \p Bits (same indexing as the
   /// live/mark bitmaps, at most refHighWater() bits) is live and marked.
@@ -654,8 +674,12 @@ private:
   }
   ObjRef install(HeapObject *Obj);
   /// Pushes \p R's block (unless it is nursery storage) and \p R itself on
-  /// their free lists. Leaves the bitmaps and counters to the caller.
+  /// their free lists, reading the dead object's header for its size and
+  /// tagging its table entry. Leaves the bitmaps and counters to the
+  /// caller. Under ASan the listed block is poisoned here, not at the
+  /// sweep.
   void release(ObjRef R);
+  void releaseSweptWords();
   /// A table entry is an object, null (never handed out), or a free-list
   /// link tagged with bit 0 (see FreeRefHead).
   static bool isObject(const HeapObject *Entry) {
@@ -712,6 +736,13 @@ private:
   /// (8-aligned) and from null, and costs no memory beyond the entry the
   /// free writes anyway.
   ObjRef FreeRefHead = NullRef;
+  /// Bit R: the last sweep freed ObjRef R and releaseSwept has not yet
+  /// released it. Nonzero only in words [SweptBegin, SweptEnd); SweptEnd
+  /// is 0 when nothing is pending. Written by one thread at a time: the
+  /// sweep in its pause, then whoever calls releaseSwept.
+  std::vector<uint64_t> SweptWords;
+  size_t SweptBegin = 0;
+  size_t SweptEnd = 0;
 
   // Slab storage: blocks are carved from 64 KiB slabs by bump pointer;
   // freed blocks recycle through exact-size free lists. A small size

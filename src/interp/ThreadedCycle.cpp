@@ -98,9 +98,12 @@ MultiMutatorResult satb::runWithConcurrentMutators(
   };
 
   // Every pause starts by publishing each mutator's pending TLAB counts,
-  // so what it reads (the pacer's counters) and frees is exact.
+  // so what it reads (the pacer's counters) and frees is exact. The last
+  // sweep's release ran right after its pause (FinishPause), so no pause
+  // pushes or pops a free list ahead of it.
   auto StopTheWorld = [&](auto &&Fn) {
     SC.stopTheWorld([&] {
+      assert(!H.hasSweptUnreleased() && "pause before the sweep's release");
       for (auto &E : Engines)
         E->context().publishAllocations();
       Fn();
@@ -200,7 +203,9 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     });
   };
   // Final STW: flush every context, terminate marking, check the oracle
-  // and sweep — all inside the pause.
+  // and sweep the bitmaps — all inside the pause. The swept objects are
+  // released after the world restarts, while the mutators run: they never
+  // touch the free lists or a dead object (Heap::releaseSwept).
   auto FinishPause = [&] {
     StopTheWorld([&] {
       for (auto &E : Engines)
@@ -216,6 +221,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
         R.SnapshotSet = Edges.oracle().toBits(H.maxRef() + 1);
       }
     });
+    H.releaseSwept();
     ++R.Cycles;
   };
 

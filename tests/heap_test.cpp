@@ -884,6 +884,70 @@ TEST_F(HeapFixture, FreeListReuseIsLifoAcrossSweepAndFree) {
     EXPECT_TRUE(Blocks.empty()) << Bytes;
 }
 
+TEST_F(HeapFixture, SweptObjectsReadFreedBeforeTheirRelease) {
+  // The sweep's pass over the bitmap words frees; the blocks and refs
+  // reach the free lists only at the next push or pop. In between, every
+  // reader must already see the swept objects as gone.
+  Heap H(P);
+  std::vector<ObjRef> Dead;
+  size_t Live = 0;
+  for (ObjRef I = 0; I != 300; ++I) {
+    ObjRef R = I % 7 == 3 ? H.allocateIntArray(I % 5) : H.allocateObject(C);
+    if (I % 3 == 0) {
+      H.setMarked(R);
+      ++Live;
+    } else {
+      Dead.push_back(R);
+    }
+  }
+  EXPECT_FALSE(H.hasSweptUnreleased());
+  EXPECT_EQ(H.sweepUnmarked(), Dead.size());
+  EXPECT_TRUE(H.hasSweptUnreleased());
+  EXPECT_EQ(H.numLive(), Live);
+  for (ObjRef R : Dead) {
+    EXPECT_EQ(H.objectOrNull(R), nullptr) << R;
+    EXPECT_FALSE(H.isLive(R) || H.isMarked(R) || H.isYoung(R)) << R;
+  }
+  // The first allocation releases the whole set, then reuses the last
+  // swept ref: the sweep releases in ascending order.
+  EXPECT_EQ(H.allocateObject(C), Dead.back());
+  EXPECT_FALSE(H.hasSweptUnreleased());
+  EXPECT_EQ(H.numLive(), Live + 1);
+}
+
+TEST_F(HeapFixture, MinorGCRightAfterSweepSkipsSweptOldObject) {
+  // An old object on a dirty card dies in a major cycle while its slot
+  // still names a young object that nothing else reaches. A minor
+  // collection right after the sweep, before any allocation releases the
+  // old object, must not follow that stale slot.
+  Heap H(P);
+  ObjRef Old = H.allocateObject(C); // allocated before the nursery: old
+  H.enableNursery();
+  SatbMarker M(H);
+  MinorGC Gen(H);
+  Gen.attachMarker(&M);
+  Gen.setRemSetValid(true);
+  ObjRef Young = H.allocateObject(C);
+  H.object(Old).refs()[0] = Young;
+  Gen.recordOldToYoung(Old);
+  // The snapshot reaches Young through a root, not Old; the root is
+  // dropped before the minor collection.
+  M.beginMarking({Young});
+  while (!M.markStep(64))
+    ;
+  M.finishMarking();
+  EXPECT_EQ(M.sweep(), 1u); // Old
+  ASSERT_TRUE(H.hasSweptUnreleased());
+  ASSERT_TRUE(H.isLive(Young) && H.isYoung(Young));
+  Gen.collect({});
+  EXPECT_FALSE(H.isLive(Young));
+  EXPECT_EQ(Gen.stats().FreedYoung, 1u);
+  EXPECT_EQ(Gen.stats().PromotedObjects, 0u);
+  EXPECT_EQ(Gen.stats().RemSetCardsScanned, 1u);
+  EXPECT_EQ(Gen.stats().RemSetOldScanned, 0u);
+  EXPECT_EQ(H.numLive(), 0u);
+}
+
 namespace {
 
 /// Exposes the marker's claim test to the claim differential below.
