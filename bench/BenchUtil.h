@@ -50,7 +50,7 @@ inline WorkloadRun runWorkload(const Workload &W, const CompilerOptions &Opts,
     RunStatus S = I.run(W.Entry, {Scale});
     R.CpuSeconds = CpuTimer.elapsedUs() / 1e6;
     R.Stats = I.stats().summarize();
-    R.BarrierCostInstrs = I.barrierCostInstrs();
+    R.BarrierCostInstrs = modeledBarrierCost(I.stats());
     if (S != RunStatus::Finished) {
       std::fprintf(stderr, "bench: %s trapped: %s\n", W.Name.c_str(),
                    trapName(I.trap()));

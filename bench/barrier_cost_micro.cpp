@@ -69,7 +69,7 @@ void runMode(benchmark::State &State, BarrierMode Mode, bool MarkingActive) {
     }
     I.run(MP.Main, {N});
     Stores += N;
-    CostInstrs += I.barrierCostInstrs();
+    CostInstrs += modeledBarrierCost(I.stats());
     if (MarkingActive) {
       if (Mode == BarrierMode::CardMarking)
         Inc.finishMarking({});
@@ -151,7 +151,7 @@ void runGenMode(benchmark::State &State, uint32_t PretenureBytes,
     I.attachGen(&Gen);
     I.run(Main, {N});
     Stores += N;
-    CostInstrs += I.barrierCostInstrs();
+    CostInstrs += modeledBarrierCost(I.stats());
     benchmark::DoNotOptimize(I.stepsExecuted());
   }
   State.counters["sec/store"] = benchmark::Counter(
@@ -208,7 +208,7 @@ void runRange(benchmark::State &State, bool Fresh, bool MarkingActive) {
       M.beginMarking({});
     I.run(RP.Main, {N});
     BulkStores += N;
-    CostInstrs += I.barrierCostInstrs();
+    CostInstrs += modeledBarrierCost(I.stats());
     if (MarkingActive)
       M.finishMarking();
     benchmark::DoNotOptimize(I.stepsExecuted());

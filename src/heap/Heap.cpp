@@ -415,14 +415,17 @@ void Heap::free(ObjRef R) {
 
 void Heap::clearMarks() {
   // Nothing at or above the high-water mark was ever live or marked.
-  const size_t WE = highWaterWords();
-  std::fill_n(MarkWords.begin(), WE, uint64_t(0));
+  std::fill_n(MarkWords.begin(), highWaterWords(), uint64_t(0));
+  advanceTraceEpoch();
+}
+
+void Heap::advanceTraceEpoch() {
   if (++TraceEpoch != (1u << TraceEpochBits))
     return;
   // Wrapped: every epoch comes round again, so no live stamp may survive
   // the turn. Freed blocks need nothing; allocation writes a new header.
   TraceEpoch = 1;
-  for (size_t WI = 0; WI != WE; ++WI)
+  for (size_t WI = 0, WE = highWaterWords(); WI != WE; ++WI)
     for (uint64_t W = LiveWords[WI]; W; W &= W - 1)
       Table[WI * 64 + __builtin_ctzll(W)]->Stamp = 0;
 }
@@ -437,10 +440,11 @@ size_t Heap::sweepUnmarked() {
     SweptWords.resize(WE, 0);
   size_t Freed = 0;
   for (size_t WI = 0; WI != WE; ++WI) {
+    // One pass clears the marks too: nothing below reads this mark word.
     uint64_t Dead = LiveWords[WI] & ~MarkWords[WI];
+    MarkWords[WI] = 0;
     if (!Dead)
       continue;
-    // Dead bits are unmarked, and clearMarks below zeroes the mark word.
     LiveWords[WI] &= ~Dead;
     YoungWords[WI] &= ~Dead;
     SweptWords[WI] = Dead;
@@ -450,7 +454,7 @@ size_t Heap::sweepUnmarked() {
     Freed += static_cast<size_t>(__builtin_popcountll(Dead));
   }
   NumLive -= Freed;
-  clearMarks();
+  advanceTraceEpoch();
   return Freed;
 }
 

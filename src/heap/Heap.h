@@ -606,9 +606,10 @@ public:
   /// The epoch tracing stamps are read and written in: 1 .. 2^14 - 1.
   /// Changes only in clearMarks, at a stop-the-world point.
   TraceStamp traceEpoch() const { return TraceEpoch; }
-  /// Frees every live-but-unmarked object, then clears marks: a pass over
-  /// the bitmap words below refHighWater() that clears each dead object's
-  /// live and young bits and records it as swept. \returns the number of
+  /// Frees every live-but-unmarked object and clears marks as clearMarks
+  /// does: one pass over the bitmap words below refHighWater() that zeroes
+  /// each mark word, clears each dead object's live and young bits and
+  /// records it as swept. \returns the number of
   /// objects freed, already subtracted from numLive(). Nothing per object
   /// happens here: the swept objects' blocks and refs reach the free lists
   /// only in releaseSwept. Call only with marking complete, with the world
@@ -680,6 +681,9 @@ private:
   /// sweep.
   void release(ObjRef R);
   void releaseSweptWords();
+  /// clearMarks' epoch half: advances TraceEpoch and, on a wrap, zeroes
+  /// every live object's stamp.
+  void advanceTraceEpoch();
   /// A table entry is an object, null (never handed out), or a free-list
   /// link tagged with bit 0 (see FreeRefHead).
   static bool isObject(const HeapObject *Entry) {

@@ -17,6 +17,7 @@ void BarrierStats::init(const CompiledProgram &CP) {
         continue;
       SiteStats &SS = Flat[Offsets[M] + I];
       SS.IsArray = D.IsArraySite;
+      SS.IsStatic = CM.Body.Instructions[I].Op == Opcode::PutStatic;
       SS.Plan = CM.Plans[I];
       SS.Reason = D.Reason;
     }
@@ -29,17 +30,61 @@ void BarrierStats::merge(const BarrierStats &Other) {
   for (size_t I = 0, E = Flat.size(); I != E; ++I) {
     SiteStats &D = Flat[I];
     const SiteStats &S = Other.Flat[I];
-    assert(D.IsArray == S.IsArray && D.Plan == S.Plan &&
-           D.Reason == S.Reason && "shards disagree on translation facts");
+    assert(D.IsArray == S.IsArray && D.IsStatic == S.IsStatic &&
+           D.Plan == S.Plan && D.Reason == S.Reason &&
+           "shards disagree on translation facts");
     D.Execs += S.Execs;
     D.PreNull += S.PreNull;
     D.Elided += S.Elided;
     D.Rearranged += S.Rearranged;
     D.Violations += S.Violations;
+    D.MarkingActive += S.MarkingActive;
+    D.PreLogged += S.PreLogged;
+    D.OldBase += S.OldBase;
     D.RemSetDirtied += S.RemSetDirtied;
     D.RemSetElided += S.RemSetElided;
     D.RemSetViolations += S.RemSetViolations;
   }
+  Brackets.Enters += Other.Brackets.Enters;
+  Brackets.Entered += Other.Brackets.Entered;
+  Brackets.Exits += Other.Brackets.Exits;
+}
+
+uint64_t satb::modeledBarrierCost(const SiteStats &S) {
+  using C = CodeSizeModel;
+  // A protocol store inside an active bracket pays only the in-bracket
+  // check; every other execution runs the plan's marking component.
+  uint64_t Cost = S.Rearranged * C::InBracketCheck;
+  const uint64_t Marking = S.Execs - S.Rearranged;
+  switch (S.Plan.Mark) {
+  case MarkPlan::Satb:
+    Cost += Marking * C::MarkingCheck + S.MarkingActive * C::PreValueTest +
+            S.PreLogged * C::LogPreValue;
+    break;
+  case MarkPlan::AlwaysLog:
+    Cost += Marking * C::AlwaysLogTest + S.PreLogged * C::LogPreValue;
+    break;
+  case MarkPlan::Card:
+    Cost += S.Execs * C::CardBarrierCost;
+    break;
+  case MarkPlan::None:
+  case MarkPlan::Elided:
+    break;
+  }
+  if (S.Plan.Rem == RemPlan::Kept && !S.IsStatic)
+    Cost += S.Execs * C::RemBaseTest + S.OldBase * C::RemValueTest +
+            S.RemSetDirtied * C::RemCardDirty;
+  return Cost;
+}
+
+uint64_t satb::modeledBarrierCost(const BarrierStats &Stats) {
+  using C = CodeSizeModel;
+  const BracketStats &B = Stats.brackets();
+  uint64_t Cost = B.Enters * C::BracketEnterCheck +
+                  B.Entered * C::BracketEnterLog + B.Exits * C::BracketExit;
+  for (const SiteStats &S : Stats.flat())
+    Cost += modeledBarrierCost(S);
+  return Cost;
 }
 
 BarrierStats::Summary BarrierStats::summarize() const {

@@ -27,6 +27,18 @@
 
 namespace satb {
 
+/// Whether the engines audit every elided execution (Violations,
+/// RemSetViolations). Pure instrumentation, compiled out of Release
+/// builds: the repo keeps asserts on in every config, so an explicit
+/// macro gates it, not NDEBUG.
+#ifdef SATB_NO_JUSTIFICATION_CHECK
+constexpr bool kJustificationCheck = false;
+#else
+constexpr bool kJustificationCheck = true;
+#endif
+
+/// One store site's counters, first and all uint64_t (a test walks them
+/// to check merge and operator==), then its translation facts.
 struct SiteStats {
   uint64_t Execs = 0;
   uint64_t PreNull = 0;    ///< executions whose pre-value was null
@@ -34,11 +46,17 @@ struct SiteStats {
   uint64_t Rearranged = 0; ///< executions that skipped the log under the
                            ///< Section 4.3 rearrangement protocol
   uint64_t Violations = 0; ///< elided executions breaking the justification
+  uint64_t MarkingActive = 0; ///< kept SATB executions finding marking on
+  /// Non-null pre-values a kept SATB or always-log barrier logged (one per
+  /// slot of a range), counted even with no log target attached.
+  uint64_t PreLogged = 0;
   // Generational remembered-set counters (BarrierMode::Generational only).
+  uint64_t OldBase = 0;          ///< kept-remset executions on an old base
   uint64_t RemSetDirtied = 0;    ///< executions that dirtied a remset card
   uint64_t RemSetElided = 0;     ///< executions skipping the remset barrier
   uint64_t RemSetViolations = 0; ///< young-target elisions on an old base
   bool IsArray = false;
+  bool IsStatic = false; ///< a putstatic: a root, with no remembered set
   /// The compiled plan executed here (CompiledMethod::Plans).
   BarrierPlan Plan;
   ElisionReason Reason = ElisionReason::None;
@@ -47,14 +65,25 @@ struct SiteStats {
     return A.Execs == B.Execs && A.PreNull == B.PreNull &&
            A.Elided == B.Elided && A.Rearranged == B.Rearranged &&
            A.Violations == B.Violations &&
+           A.MarkingActive == B.MarkingActive &&
+           A.PreLogged == B.PreLogged && A.OldBase == B.OldBase &&
            A.RemSetDirtied == B.RemSetDirtied &&
            A.RemSetElided == B.RemSetElided &&
            A.RemSetViolations == B.RemSetViolations &&
-           A.IsArray == B.IsArray && A.Plan == B.Plan && A.Reason == B.Reason;
+           A.IsArray == B.IsArray && A.IsStatic == B.IsStatic &&
+           A.Plan == B.Plan && A.Reason == B.Reason;
   }
   friend bool operator!=(const SiteStats &A, const SiteStats &B) {
     return !(A == B);
   }
+};
+
+/// Section 4.3 bracket executions. They are not store sites, so they are
+/// counted here and never in a site's Execs.
+struct BracketStats {
+  uint64_t Enters = 0;  ///< RearrangeEnter / RearrangeEnterDyn executions
+  uint64_t Entered = 0; ///< enters that logged and opened a bracket
+  uint64_t Exits = 0;   ///< RearrangeExit executions
 };
 
 /// Per-site counters stored flat: one contiguous SiteStats array over the
@@ -77,6 +106,8 @@ public:
   /// interpreter's translated code indexes into it.
   SiteStats *flatData() { return Flat.data(); }
   const std::vector<SiteStats> &flat() const { return Flat; }
+  BracketStats &brackets() { return Brackets; }
+  const BracketStats &brackets() const { return Brackets; }
   uint32_t flatIndex(MethodId M, uint32_t Instr) const {
     assert(M + 1 < Offsets.size() && Offsets[M] + Instr < Offsets[M + 1] &&
            "unknown site");
@@ -138,7 +169,17 @@ public:
 private:
   std::vector<SiteStats> Flat;    ///< one slot per instruction, all methods
   std::vector<uint32_t> Offsets;  ///< per-method start into Flat (size M+1)
+  BracketStats Brackets;
 };
+
+/// The modeled dynamic barrier cost of one site, in RISC instructions:
+/// each step of its plan priced by CodeSizeModel, times the number of
+/// executions that took it.
+uint64_t modeledBarrierCost(const SiteStats &S);
+
+/// The modeled dynamic barrier cost of a whole run (Section 4.5's cost
+/// accounting): every site's cost plus the rearrangement brackets'.
+uint64_t modeledBarrierCost(const BarrierStats &Stats);
 
 } // namespace satb
 

@@ -114,58 +114,62 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
 #define PUSH(V) (*SP++ = (V))
 #define POP() (*--SP)
 
-// Barrier tails shared by the field / static / array store variants.
-// `Pre` is the overwritten value, in scope at expansion.
-#define BARRIER_SATB()                                                         \
+// Barrier tails shared by the scalar and range store variants. EACH_PRE
+// runs its body with `Pre` bound to each overwritten value: the one a
+// scalar prologue loaded (SCALAR_PRE), or each destination slot of a
+// range (RANGE_PRE), so only a range's per-slot log is linear; its checks
+// are paid once. The counters record which of the plan's steps ran,
+// exactly as the reference engine's; modeledBarrierCost prices them.
+#define SCALAR_PRE(BODY) BODY
+#define RANGE_PRE(BODY)                                                        \
+  for (size_t I = 0; I != N; ++I) {                                            \
+    ObjRef Pre = loadRefAcquire(DstP + I);                                     \
+    BODY                                                                       \
+  }
+
+#define BARRIER_SATB(EACH_PRE)                                                 \
   do {                                                                         \
-    BarrierCost += 2;                                                          \
     if (Satb && Satb->isActive()) {                                            \
-      BarrierCost += 3;                                                        \
-      if (Pre != NullRef) {                                                    \
-        BarrierCost += 6;                                                      \
+      ++SS.MarkingActive;                                                      \
+      EACH_PRE(if (Pre != NullRef) {                                           \
+        ++SS.PreLogged;                                                        \
         Ctx.logPreValue(Pre);                                                  \
-      }                                                                        \
+      })                                                                       \
     }                                                                          \
   } while (0)
 
-#define BARRIER_ALWAYSLOG()                                                    \
+#define BARRIER_ALWAYSLOG(EACH_PRE)                                            \
   do {                                                                         \
-    BarrierCost += 3;                                                          \
-    if (Pre != NullRef) {                                                      \
-      BarrierCost += 6;                                                        \
+    EACH_PRE(if (Pre != NullRef) {                                             \
+      ++SS.PreLogged;                                                          \
       if (Satb)                                                                \
         Ctx.logPreValue(Pre);                                                  \
-    }                                                                          \
+    })                                                                         \
   } while (0)
 
-#ifndef SATB_NO_JUSTIFICATION_CHECK
-#define BARRIER_ELIDED(NewRef)                                                 \
+// An elided execution must be justified (Section 4.2): every overwritten
+// slot pre-null or, for a null-or-same elision (scalar stores only; a
+// range elision is the Section 3 null-range proof), the value stored.
+#define BARRIER_ELIDED(PRENULL, SAME)                                          \
   do {                                                                         \
     ++SS.Elided;                                                               \
-    bool Justified = SS.Reason == ElisionReason::NullOrSame                    \
-                         ? (Pre == NullRef || Pre == (NewRef))                 \
-                         : (Pre == NullRef);                                   \
-    if (!Justified)                                                            \
+    if (kJustificationCheck && !(PRENULL) &&                                   \
+        !(SS.Reason == ElisionReason::NullOrSame && (SAME)))                   \
       ++SS.Violations;                                                         \
   } while (0)
-#else
-#define BARRIER_ELIDED(NewRef) ++SS.Elided
-#endif
 
 // Generational remembered-set tails (BarrierMode::Generational). The
 // marking component reuses BARRIER_SATB / BARRIER_ELIDED above; these
-// add the old-to-young component with the reference engine's exact cost
-// model. ANYYOUNG is the store's value test — one value for a scalar
+// add the old-to-young component with the reference engine's exact
+// counters. ANYYOUNG is the store's value test — one value for a scalar
 // store, a word scan of the new values for a bulk one (read strictly
 // before any slot is written), paid once per store either way. Statics
 // never expand them (roots need no remembered set).
 #define BARRIER_GEN_REMSET(BaseRef, ANYYOUNG)                                  \
   do {                                                                         \
-    BarrierCost += 2; /* young-test the base */                                \
     if (!H.isYoung(BaseRef)) {                                                 \
-      BarrierCost += 2; /* null + young test the stored value(s) */            \
+      ++SS.OldBase;                                                            \
       if (ANYYOUNG) {                                                          \
-        BarrierCost += 2; /* shift + dirty the card */                         \
         ++SS.RemSetDirtied;                                                    \
         if (Gen)                                                               \
           Gen->recordOldToYoung(BaseRef);                                      \
@@ -173,16 +177,12 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
     }                                                                          \
   } while (0)
 
-#ifndef SATB_NO_JUSTIFICATION_CHECK
 #define BARRIER_GEN_YOUNG(BaseRef)                                             \
   do {                                                                         \
     ++SS.RemSetElided;                                                         \
-    if (H.nurseryEnabled() && !H.isYoung(BaseRef))                             \
+    if (kJustificationCheck && H.nurseryEnabled() && !H.isYoung(BaseRef))      \
       ++SS.RemSetViolations;                                                   \
   } while (0)
-#else
-#define BARRIER_GEN_YOUNG(BaseRef) ++SS.RemSetElided
-#endif
 
 // Allocation handlers flush IP/SP to the frame first: a nursery-triggered
 // minor collection (the Heap's GC hook) scans this engine's frames for
@@ -196,24 +196,19 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
   } while (0)
 
 // Pop / trap-check / stat prologues for the specialized store families.
-// The _AT forms take the instruction carrying the store's operands (IP[0]
-// for plain stores, IP[1] for fused ones, whose second slot holds the
-// original store verbatim) and the expression producing the stored value
-// (POP() plain, a local read fused). Evaluation order matches the
-// reference engine: value first, then the remaining pops, then the trap
-// checks.
-#define PUTFIELD_REF_PROLOGUE_AT(SI, VALEXPR)                                  \
-  Slot Val = (VALEXPR);                                                        \
+// Evaluation order matches the reference engine: value first, then the
+// remaining pops, then the trap checks.
+#define PUTFIELD_REF_PROLOGUE()                                                \
+  Slot Val = POP();                                                            \
   ObjRef Obj = POP().Ref;                                                      \
   if (Obj == NullRef)                                                          \
     TRAP(NullPointer);                                                         \
-  HeapObject &O = *Tbl[Obj];                                                \
-  if (O.Kind != ObjectKind::Object ||                                          \
-      O.Class != static_cast<ClassId>((SI).B))                                 \
+  HeapObject &O = *Tbl[Obj];                                                   \
+  if (O.Kind != ObjectKind::Object || O.Class != static_cast<ClassId>(IP->B))  \
     TRAP(BadFieldAccess);                                                      \
-  ObjRef *SlotP = O.refs() + (SI).A;                                           \
+  ObjRef *SlotP = O.refs() + IP->A;                                            \
   ObjRef Pre = loadRefAcquire(SlotP);                                          \
-  SiteStats &SS = Sites[(SI).Site];                                            \
+  SiteStats &SS = Sites[IP->Site];                                             \
   ++SS.Execs;                                                                  \
   if (Pre == NullRef)                                                          \
   ++SS.PreNull
@@ -227,20 +222,20 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
   if (Pre == NullRef)                                                          \
   ++SS.PreNull
 
-#define AASTORE_PROLOGUE_AT(SI, VALEXPR)                                       \
-  Slot Val = (VALEXPR);                                                        \
+#define AASTORE_PROLOGUE()                                                     \
+  Slot Val = POP();                                                            \
   int64_t Idx = POP().Int;                                                     \
   ObjRef Arr = POP().Ref;                                                      \
   if (Arr == NullRef)                                                          \
     TRAP(NullPointer);                                                         \
-  HeapObject &O = *Tbl[Arr];                                                \
+  HeapObject &O = *Tbl[Arr];                                                   \
   if (O.Kind != ObjectKind::RefArray)                                          \
     TRAP(BadFieldAccess);                                                      \
   if (Idx < 0 || Idx >= O.arrayLength())                                       \
     TRAP(OutOfBounds);                                                         \
   ObjRef *SlotP = O.refs() + Idx;                                              \
   ObjRef Pre = loadRefAcquire(SlotP);                                          \
-  SiteStats &SS = Sites[(SI).Site];                                            \
+  SiteStats &SS = Sites[IP->Site];                                             \
   ++SS.Execs;                                                                  \
   if (Pre == NullRef)                                                          \
   ++SS.PreNull
@@ -305,51 +300,6 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
   ++SS.Execs;                                                                  \
   BULK_PRENULL_SCAN()
 
-// Range barrier tails: the reference engine's rangeStoreBarrier cost
-// model verbatim — the mode/active checks and the remembered-set
-// young/card work are paid once per range, only the unavoidable per-slot
-// log of a non-null pre-value stays linear.
-#define RANGE_BARRIER_SATB()                                                   \
-  do {                                                                         \
-    BarrierCost += 2; /* one marking-active check for the whole range */       \
-    if (Satb && Satb->isActive()) {                                            \
-      BarrierCost += 3; /* range-scan setup; per-slot checks amortize */       \
-      for (size_t I = 0; I != N; ++I) {                                        \
-        ObjRef Pre = loadRefAcquire(DstP + I);                                 \
-        if (Pre != NullRef) {                                                  \
-          BarrierCost += 6;                                                    \
-          Ctx.logPreValue(Pre);                                                \
-        }                                                                      \
-      }                                                                        \
-    }                                                                          \
-  } while (0)
-
-#define RANGE_BARRIER_ALWAYSLOG()                                              \
-  do {                                                                         \
-    BarrierCost += 3;                                                          \
-    for (size_t I = 0; I != N; ++I) {                                          \
-      ObjRef Pre = loadRefAcquire(DstP + I);                                   \
-      if (Pre != NullRef) {                                                    \
-        BarrierCost += 6;                                                      \
-        if (Satb)                                                              \
-          Ctx.logPreValue(Pre);                                                \
-      }                                                                        \
-    }                                                                          \
-  } while (0)
-
-// Range elisions are only ever justified by the Section 3 null-range
-// proof: every covered slot must still be pre-null.
-#ifndef SATB_NO_JUSTIFICATION_CHECK
-#define RANGE_BARRIER_ELIDED()                                                 \
-  do {                                                                         \
-    ++SS.Elided;                                                               \
-    if (!AllPreNull)                                                           \
-      ++SS.Violations;                                                         \
-  } while (0)
-#else
-#define RANGE_BARRIER_ELIDED() ++SS.Elided
-#endif
-
 #define VAL_ANYYOUNG (Val.Ref != NullRef && H.isYoung(Val.Ref))
 #define FILL_ANYYOUNG (N != 0 && Val != NullRef && H.isYoung(Val))
 #define COPY_ANYYOUNG (H.anyYoung(SrcP, N))
@@ -405,14 +355,14 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
 //
 // Marking components per shape (scalar slot vs. bulk range).
 #define MARK_SCALAR_None()
-#define MARK_SCALAR_Elided() BARRIER_ELIDED(Val.Ref)
-#define MARK_SCALAR_Satb() BARRIER_SATB()
-#define MARK_SCALAR_AlwaysLog() BARRIER_ALWAYSLOG()
+#define MARK_SCALAR_Elided() BARRIER_ELIDED(Pre == NullRef, Pre == Val.Ref)
+#define MARK_SCALAR_Satb() BARRIER_SATB(SCALAR_PRE)
+#define MARK_SCALAR_AlwaysLog() BARRIER_ALWAYSLOG(SCALAR_PRE)
 #define MARK_SCALAR_Card() /* after the store: see BARRIER_CARD */
 #define MARK_RANGE_None()
-#define MARK_RANGE_Elided() RANGE_BARRIER_ELIDED()
-#define MARK_RANGE_Satb() RANGE_BARRIER_SATB()
-#define MARK_RANGE_AlwaysLog() RANGE_BARRIER_ALWAYSLOG()
+#define MARK_RANGE_Elided() BARRIER_ELIDED(AllPreNull, false)
+#define MARK_RANGE_Satb() BARRIER_SATB(RANGE_PRE)
+#define MARK_RANGE_AlwaysLog() BARRIER_ALWAYSLOG(RANGE_PRE)
 #define MARK_RANGE_Card() /* after the store; one card covers the range */
 
 // Cards are per-object; the statics area (B = NullRef) has none to dirty.
@@ -420,7 +370,6 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
 // could clean the card and scan the object in between, missing the value.
 #define BARRIER_CARD(B)                                                        \
   do {                                                                         \
-    BarrierCost += 2;                                                          \
     if (Inc && (B) != NullRef)                                                 \
       Inc->recordWrite(B);                                                     \
   } while (0)
@@ -431,7 +380,6 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
 #define REARR_1(B, MARK)                                                       \
   if (Satb && Satb->isActive() && Satb->inActiveRearrange(B)) {                \
     ++SS.Rearranged;                                                           \
-    BarrierCost += 1; /* the in-bracket check; state reads are hoisted */      \
   } else {                                                                     \
     MARK;                                                                      \
   }
@@ -444,36 +392,28 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
 #define REM_ROOT_Kept(B, ANYYOUNG)
 
 // Kind traits: mark shape, rem shape, prologue, written object, value
-// test, store, width (2 for the fused Load* pairs).
+// test, store.
 #define PutFieldRef_TRAITS                                                     \
-  SCALAR, HEAP, PUTFIELD_REF_PROLOGUE_AT(IP[0], POP()), Obj, VAL_ANYYOUNG,     \
-      storeRefRelease(SlotP, Val.Ref), 1
-#define LoadPutFieldRef_TRAITS                                                 \
-  SCALAR, HEAP, FUSE_LOAD(); PUTFIELD_REF_PROLOGUE_AT(IP[1], Base[IP->A]),     \
-      Obj, VAL_ANYYOUNG, storeRefRelease(SlotP, Val.Ref), 2
+  SCALAR, HEAP, PUTFIELD_REF_PROLOGUE(), Obj, VAL_ANYYOUNG,                    \
+      storeRefRelease(SlotP, Val.Ref)
 #define PutStaticRef_TRAITS                                                    \
   SCALAR, ROOT, PUTSTATIC_REF_PROLOGUE(), NullRef, false,                      \
-      storeRefRelease(SlotP, Val.Ref), 1
+      storeRefRelease(SlotP, Val.Ref)
 #define AAStore_TRAITS                                                         \
-  SCALAR, HEAP, AASTORE_PROLOGUE_AT(IP[0], POP()), Arr, VAL_ANYYOUNG,          \
-      storeRefRelease(SlotP, Val.Ref), 1
-#define LoadAAStore_TRAITS                                                     \
-  SCALAR, HEAP, FUSE_LOAD(); AASTORE_PROLOGUE_AT(IP[1], Base[IP->A]), Arr,     \
-      VAL_ANYYOUNG, storeRefRelease(SlotP, Val.Ref), 2
+  SCALAR, HEAP, AASTORE_PROLOGUE(), Arr, VAL_ANYYOUNG,                         \
+      storeRefRelease(SlotP, Val.Ref)
 #define ArrayFill_TRAITS                                                       \
   RANGE, HEAP, ARRAYFILL_PROLOGUE(), Arr, FILL_ANYYOUNG,                       \
-      storeRefRangeFill(DstP, N, Val), 1
+      storeRefRangeFill(DstP, N, Val)
 #define ArrayCopy_TRAITS                                                       \
   RANGE, HEAP, ARRAYCOPY_PROLOGUE(), Arr, COPY_ANYYOUNG,                       \
-      storeRefRangeCopy(DstP, SrcP, N), 1
-
-#define NEXT1() NEXT()
+      storeRefRangeCopy(DstP, SrcP, N)
 
 #define STORE_CASE(K, Name, M, R, Rr)                                          \
   STORE_CASE_(K##_##Name, M, R, Rr, K##_TRAITS)
 #define STORE_CASE_(...) STORE_CASE_IMPL(__VA_ARGS__)
 #define STORE_CASE_IMPL(Op, M, R, Rr, MShape, RShape, Prologue, B, ANYYOUNG,  \
-                        Store, W)                                              \
+                        Store)                                                 \
   CASE(Op) {                                                                   \
     Prologue;                                                                  \
     REARR_##Rr(B, MARK_##MShape##_##M());                                      \
@@ -481,7 +421,7 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
     Store;                                                                     \
     if constexpr (MarkPlan::M == MarkPlan::Card)                               \
       BARRIER_CARD(B);                                                         \
-    NEXT##W();                                                                 \
+    NEXT();                                                                    \
   }
 
 RunStatus FastInterp::step(uint64_t MaxSteps) {
@@ -912,32 +852,19 @@ RunStatus FastInterp::stepImpl(uint64_t MaxSteps) {
     PUSH(Ret);
     DISPATCH();
   }
-  CASE(RearrangeEnter) {
-    ObjRef Arr = Base[IP->A].Ref;
-    BarrierCost += 2; // marking-active check
-    if (Satb && Satb->isActive() && Arr != NullRef) {
-      HeapObject &O = *Tbl[Arr];
-      int64_t Idx = IP->B;
-      if (O.Kind == ObjectKind::RefArray && Idx >= 0 &&
-          Idx < O.arrayLength()) {
-        BarrierCost += 3; // log the dropped element + read tracing state
-        ObjRef Dropped = loadRefAcquire(O.refs() + Idx);
-        if (Dropped != NullRef)
-          Satb->logPreValue(Dropped);
-        Satb->enterRearrange(Arr);
-      }
-    }
-    NEXT();
-  }
+  CASE(RearrangeEnter)
   CASE(RearrangeEnterDyn) {
     ObjRef Arr = Base[IP->A].Ref;
-    BarrierCost += 2;
+    BracketStats &BS = Stats.brackets();
+    ++BS.Enters; // the marking-active check
     if (Satb && Satb->isActive() && Arr != NullRef) {
       HeapObject &O = *Tbl[Arr];
-      int64_t Idx = Base[IP->B].Int;
+      int64_t Idx = IP->Op == static_cast<uint16_t>(FastOp::RearrangeEnter)
+                        ? IP->B
+                        : Base[IP->B].Int;
       if (O.Kind == ObjectKind::RefArray && Idx >= 0 &&
           Idx < O.arrayLength()) {
-        BarrierCost += 3;
+        ++BS.Entered; // log the dropped element + read tracing state
         ObjRef Dropped = loadRefAcquire(O.refs() + Idx);
         if (Dropped != NullRef)
           Satb->logPreValue(Dropped);
@@ -948,7 +875,7 @@ RunStatus FastInterp::stepImpl(uint64_t MaxSteps) {
   }
   CASE(RearrangeExit) {
     ObjRef Arr = Base[IP->A].Ref;
-    BarrierCost += 2;
+    ++Stats.brackets().Exits;
     if (Satb && Arr != NullRef)
       Satb->exitRearrange(Arr);
     NEXT();

@@ -59,7 +59,6 @@ public:
   /// ran out of fuel between polls. Only at such a point may the
   /// multi-mutator driver park the engine for a pause (interp/Safepoint.h).
   bool atSafepoint() const { return AtSafepoint; }
-  uint64_t barrierCostInstrs() const { return BarrierCost; }
 
   void collectRoots(std::vector<ObjRef> &Out) const;
   std::vector<ObjRef> collectRoots() const {
@@ -116,7 +115,6 @@ private:
   TrapKind Trap = TrapKind::None;
   Slot Result;
   uint64_t Steps = 0;
-  uint64_t BarrierCost = 0;
   bool AtSafepoint = false; ///< see atSafepoint()
   static constexpr uint32_t MaxCallDepth = 1024;
   BarrierStats Stats;

@@ -82,7 +82,7 @@ RunStatus Interpreter::run(MethodId Entry, const std::vector<int64_t> &IntArgs,
 }
 
 uint64_t Interpreter::modeledInstrsExecuted() const {
-  uint64_t Total = BarrierCost;
+  uint64_t Total = modeledBarrierCost(Stats);
   for (unsigned Op = 0; Op != 64; ++Op) {
     if (!OpcodeCounts[Op])
       continue;
@@ -104,35 +104,34 @@ void Interpreter::collectRoots(std::vector<ObjRef> &Out) const {
   }
 }
 
-void Interpreter::refStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
-                                  ObjRef Pre, ObjRef New) {
-  const CompiledMethod &CM = *F.CM;
-  SiteStats &SS = Stats.site(CM.Id, PC);
+void Interpreter::storeBarrier(const Frame &F, uint32_t PC, ObjRef Base,
+                               const ObjRef *Pre, size_t N,
+                               const ObjRef *NewVals, size_t NewStride) {
+  SiteStats &SS = Stats.site(F.CM->Id, PC);
   ++SS.Execs;
-  if (Pre == NullRef)
+  // PreNull counts executions whose whole destination was pre-null.
+  const bool AllPreNull =
+      std::all_of(Pre, Pre + N, [](ObjRef R) { return R == NullRef; });
+  if (AllPreNull)
     ++SS.PreNull;
 
   // The marking component, then (BarrierMode::Generational) the
-  // remembered-set component, each exactly as the site's plan says.
+  // remembered-set component, each exactly as the site's plan says. The
+  // counters record which steps ran; modeledBarrierCost prices them.
   const BarrierPlan P = SS.Plan;
   switch (P.Mark) {
   case MarkPlan::None:
     break;
-  case MarkPlan::Elided: {
+  case MarkPlan::Elided:
     ++SS.Elided;
-#ifndef SATB_NO_JUSTIFICATION_CHECK
     // The Section 4.2 correctness check: an elided barrier must be
-    // justified dynamically on every execution. Pure instrumentation —
-    // compiled out of Release builds (the repo keeps asserts on in every
-    // config, so this is gated by an explicit macro, not NDEBUG).
-    bool Justified = SS.Reason == ElisionReason::NullOrSame
-                         ? (Pre == NullRef || Pre == New)
-                         : (Pre == NullRef);
-    if (!Justified)
+    // justified dynamically on every execution. Only a scalar store is
+    // ever elided as null-or-same; a range elision is the Section 3
+    // null-range proof.
+    if (kJustificationCheck && !AllPreNull &&
+        !(SS.Reason == ElisionReason::NullOrSame && Pre[0] == NewVals[0]))
       ++SS.Violations;
-#endif
     break;
-  }
   case MarkPlan::Satb:
   case MarkPlan::AlwaysLog:
     // Section 4.3 rearrangement protocol: while the array is inside an
@@ -143,39 +142,30 @@ void Interpreter::refStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
     if (P.Rearrange && Satb && Satb->isActive() &&
         Satb->inActiveRearrange(Base)) {
       ++SS.Rearranged;
-      BarrierCost += 1; // the in-bracket check; state reads are hoisted
       return;
     }
+    // Inline: is marking in progress? (The generational marking component
+    // is exactly the SATB sequence; the Section 4.5 always-log mode skips
+    // the check.) Then load and null-test each pre-value, and append the
+    // non-null ones to the thread-local log buffer out of line.
     if (P.Mark == MarkPlan::Satb) {
-      // Inline: is marking in progress? (The generational marking
-      // component is exactly the SATB sequence.)
-      BarrierCost += 2;
-      if (Satb && Satb->isActive()) {
-        // Inline: load the pre-value, null test.
-        BarrierCost += 3;
-        if (Pre != NullRef) {
-          // Out-of-line: append to the thread-local log buffer.
-          BarrierCost += 6;
-          Satb->logPreValue(Pre);
-        }
-      }
-    } else {
-      // The Section 4.5 future-work mode: no marking check, always log
-      // non-null pre-values.
-      BarrierCost += 3;
-      if (Pre != NullRef) {
-        BarrierCost += 6;
-        if (Satb)
-          Satb->logPreValue(Pre);
-      }
+      if (!Satb || !Satb->isActive())
+        break;
+      ++SS.MarkingActive;
     }
+    for (size_t I = 0; I != N; ++I)
+      if (Pre[I] != NullRef) {
+        ++SS.PreLogged;
+        if (Satb)
+          Satb->logPreValue(Pre[I]);
+      }
     break;
   case MarkPlan::Card:
-    // Dirtied before the caller's store, unlike FastInterp (after): this
-    // engine runs on one thread, and its driver (runWithConcurrentCycle)
-    // runs marker work only between instructions, so no card refill can
-    // clean and scan the object between this dirty and the store.
-    BarrierCost += 2;
+    // Cards are per-object here: one dirty covers a whole range. Dirtied
+    // before the caller's store, unlike FastInterp (after): this engine
+    // runs on one thread, and its driver (runWithConcurrentCycle) runs
+    // marker work only between instructions, so no card refill can clean
+    // and scan the object between this dirty and the store.
     if (Inc && Base != NullRef)
       Inc->recordWrite(Base);
     break;
@@ -187,109 +177,24 @@ void Interpreter::refStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
     return;
   if (P.Rem == RemPlan::Elided) {
     ++SS.RemSetElided;
-#ifndef SATB_NO_JUSTIFICATION_CHECK
     // A young-target elision is justified iff the base really is young
     // (trivially so when the nursery is off: no old-to-young edges exist
     // at all).
-    if (H.nurseryEnabled() && !H.isYoung(Base))
+    if (kJustificationCheck && H.nurseryEnabled() && !H.isYoung(Base))
       ++SS.RemSetViolations;
-#endif
-  } else if (P.Rem == RemPlan::Kept) {
-    BarrierCost += 2; // young-test the base
-    if (!H.isYoung(Base)) {
-      BarrierCost += 2; // null + young test the stored value
-      if (New != NullRef && H.isYoung(New)) {
-        BarrierCost += 2; // shift + dirty the card
-        ++SS.RemSetDirtied;
-        if (Gen)
-          Gen->recordOldToYoung(Base);
-      }
+  } else if (P.Rem == RemPlan::Kept && !H.isYoung(Base)) {
+    // Young-test the base, then one word-at-a-time null + young scan of
+    // the values; shift + dirty the card once.
+    ++SS.OldBase;
+    bool AnyYoung = false;
+    for (size_t I = 0; I != N && !AnyYoung; ++I) {
+      ObjRef V = NewVals[I * NewStride];
+      AnyYoung = V != NullRef && H.isYoung(V);
     }
-  }
-}
-
-void Interpreter::rangeStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
-                                    const ObjRef *Pre, size_t N,
-                                    const ObjRef *NewVals, size_t NewStride) {
-  const CompiledMethod &CM = *F.CM;
-  SiteStats &SS = Stats.site(CM.Id, PC);
-  ++SS.Execs;
-  bool AllPreNull = true;
-  for (size_t I = 0; I != N; ++I)
-    if (Pre[I] != NullRef) {
-      AllPreNull = false;
-      break;
-    }
-  // PreNull counts executions whose whole destination range was pre-null:
-  // the range analogue of the per-slot counter.
-  if (AllPreNull)
-    ++SS.PreNull;
-
-  const BarrierPlan P = SS.Plan;
-  switch (P.Mark) {
-  case MarkPlan::None:
-    break;
-  case MarkPlan::Elided:
-    ++SS.Elided;
-#ifndef SATB_NO_JUSTIFICATION_CHECK
-    // Range elisions are only ever justified by the Section 3 null-range
-    // proof: every covered slot must still be pre-null.
-    if (!AllPreNull)
-      ++SS.Violations;
-#endif
-    break;
-  case MarkPlan::Satb:
-    BarrierCost += 2; // one marking-active check for the whole range
-    if (Satb && Satb->isActive()) {
-      BarrierCost += 3; // range-scan setup; per-slot checks amortize
-      for (size_t I = 0; I != N; ++I)
-        if (Pre[I] != NullRef) {
-          BarrierCost += 6;
-          Satb->logPreValue(Pre[I]);
-        }
-    }
-    break;
-  case MarkPlan::AlwaysLog:
-    BarrierCost += 3;
-    for (size_t I = 0; I != N; ++I)
-      if (Pre[I] != NullRef) {
-        BarrierCost += 6;
-        if (Satb)
-          Satb->logPreValue(Pre[I]);
-      }
-    break;
-  case MarkPlan::Card:
-    // Cards are per-object here: one dirty covers the whole range. Before
-    // the store is safe here for the reason given in refStoreBarrier.
-    BarrierCost += 2;
-    if (Inc && Base != NullRef)
-      Inc->recordWrite(Base);
-    break;
-  }
-
-  if (Base == NullRef)
-    return;
-  if (P.Rem == RemPlan::Elided) {
-    ++SS.RemSetElided;
-#ifndef SATB_NO_JUSTIFICATION_CHECK
-    if (H.nurseryEnabled() && !H.isYoung(Base))
-      ++SS.RemSetViolations;
-#endif
-  } else if (P.Rem == RemPlan::Kept) {
-    BarrierCost += 2; // young-test the base once
-    if (!H.isYoung(Base)) {
-      BarrierCost += 2; // one word-at-a-time null+young scan of the values
-      bool AnyYoung = false;
-      for (size_t I = 0; I != N && !AnyYoung; ++I) {
-        ObjRef V = NewVals[I * NewStride];
-        AnyYoung = V != NullRef && H.isYoung(V);
-      }
-      if (AnyYoung) {
-        BarrierCost += 2; // shift + dirty the card, once
-        ++SS.RemSetDirtied;
-        if (Gen)
-          Gen->recordOldToYoung(Base);
-      }
+    if (AnyYoung) {
+      ++SS.RemSetDirtied;
+      if (Gen)
+        Gen->recordOldToYoung(Base);
     }
   }
 }
@@ -403,7 +308,7 @@ bool Interpreter::stepOne() {
       return true;
     }
     if (FD.Type == JType::Ref) {
-      refStoreBarrier(F, PC, Obj, O.refs()[FS.Slot], Val.Ref);
+      storeBarrier(F, PC, Obj, &O.refs()[FS.Slot], 1, &Val.Ref, 0);
       O.refs()[FS.Slot] = Val.Ref;
     } else {
       O.ints()[FS.Slot] = Val.Int;
@@ -421,7 +326,8 @@ bool Interpreter::stepOne() {
     StaticFieldId SId = static_cast<StaticFieldId>(Ins.A);
     Slot Val = Pop();
     if (P.staticDecl(SId).Type == JType::Ref) {
-      refStoreBarrier(F, PC, NullRef, H.getStaticRef(SId), Val.Ref);
+      ObjRef Pre = H.getStaticRef(SId);
+      storeBarrier(F, PC, NullRef, &Pre, 1, &Val.Ref, 0);
       H.setStaticRef(SId, Val.Ref);
     } else {
       H.setStaticInt(SId, Val.Int);
@@ -495,8 +401,8 @@ bool Interpreter::stepOne() {
       return false;
     }
     if (Ins.Op == Opcode::AAStore) {
-      refStoreBarrier(F, PC, Arr, O.refs()[static_cast<size_t>(Idx)],
-                      Val.Ref);
+      storeBarrier(F, PC, Arr, &O.refs()[static_cast<size_t>(Idx)], 1,
+                   &Val.Ref, 0);
       O.refs()[static_cast<size_t>(Idx)] = Val.Ref;
     } else {
       O.ints()[static_cast<size_t>(Idx)] = Val.Int;
@@ -522,7 +428,7 @@ bool Interpreter::stepOne() {
       return false;
     }
     ObjRef *Slots = O.refs() + static_cast<size_t>(Start);
-    rangeStoreBarrier(F, PC, Arr, Slots, static_cast<size_t>(Cnt), &Val, 0);
+    storeBarrier(F, PC, Arr, Slots, static_cast<size_t>(Cnt), &Val, 0);
     for (int64_t I = 0; I != Cnt; ++I)
       Slots[I] = Val;
     return true;
@@ -553,7 +459,7 @@ bool Interpreter::stepOne() {
     ObjRef *To = DstO.refs() + static_cast<size_t>(DstPos);
     // Barrier first: pre-values and source originals must be read before
     // any slot is written (self-copies may overlap).
-    rangeStoreBarrier(F, PC, Dst, To, static_cast<size_t>(Cnt), From, 1);
+    storeBarrier(F, PC, Dst, To, static_cast<size_t>(Cnt), From, 1);
     std::memmove(To, From, static_cast<size_t>(Cnt) * sizeof(ObjRef));
     return true;
   }
@@ -681,7 +587,8 @@ bool Interpreter::stepOne() {
   case Opcode::RearrangeEnter:
   case Opcode::RearrangeEnterDyn: {
     ObjRef Arr = F.Locals[static_cast<uint32_t>(Ins.A)].Ref;
-    BarrierCost += 2; // marking-active check
+    BracketStats &BS = Stats.brackets();
+    ++BS.Enters; // the marking-active check
     if (Satb && Satb->isActive() && Arr != NullRef) {
       HeapObject &O = H.object(Arr);
       int64_t Idx = Ins.Op == Opcode::RearrangeEnter
@@ -689,7 +596,7 @@ bool Interpreter::stepOne() {
                         : F.Locals[static_cast<uint32_t>(Ins.B)].Int;
       if (O.Kind == ObjectKind::RefArray && Idx >= 0 &&
           Idx < O.arrayLength()) {
-        BarrierCost += 3; // log the dropped element + read tracing state
+        ++BS.Entered; // log the dropped element + read tracing state
         ObjRef Dropped = O.refs()[static_cast<size_t>(Idx)];
         if (Dropped != NullRef)
           Satb->logPreValue(Dropped);
@@ -700,7 +607,7 @@ bool Interpreter::stepOne() {
   }
   case Opcode::RearrangeExit: {
     ObjRef Arr = F.Locals[static_cast<uint32_t>(Ins.A)].Ref;
-    BarrierCost += 2;
+    ++Stats.brackets().Exits;
     if (Satb && Arr != NullRef)
       Satb->exitRearrange(Arr);
     return true;

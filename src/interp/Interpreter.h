@@ -88,15 +88,12 @@ public:
   Slot result() const { return Result; }
   uint64_t stepsExecuted() const { return Steps; }
 
-  /// Modeled dynamic barrier cost in RISC instructions (Section 4.5's cost
-  /// accounting; wall-clock timing is measured by the benches directly).
-  uint64_t barrierCostInstrs() const { return BarrierCost; }
-
   /// Total modeled RISC instructions executed: per-opcode execution counts
-  /// weighted by the CodeSizeModel, plus the dynamic barrier cost. A
-  /// deterministic machine-level throughput measure (the paper's numbers
-  /// reflect compiled code, where this is the ground truth; interpreter
-  /// wall time buries the barrier delta in dispatch overhead).
+  /// weighted by the CodeSizeModel, plus the dynamic barrier cost
+  /// (modeledBarrierCost of stats()). A deterministic machine-level
+  /// throughput measure (the paper's numbers reflect compiled code, where
+  /// this is the ground truth; interpreter wall time buries the barrier
+  /// delta in dispatch overhead).
   uint64_t modeledInstrsExecuted() const;
 
   /// Conservative roots: every non-null reference slot in live frames.
@@ -128,22 +125,17 @@ private:
     Status = RunStatus::Trapped;
   }
 
-  /// Instruments and executes the write barrier for a reference store.
-  /// \p Base is the written object (NullRef for statics), \p Pre the
-  /// overwritten value, \p New the stored value.
-  void refStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base, ObjRef Pre,
-                       ObjRef New);
-
-  /// Range-barrier counterpart for the bulk-store bytecodes: one execution
-  /// is one site event covering \p N destination slots. \p Pre points at
+  /// Instruments and executes the write barrier for a reference store of
+  /// \p N slots of \p Base (NullRef for statics); a scalar store is a
+  /// range of one, and one execution is one site event. \p Pre points at
   /// the destination slots (read before any store), \p NewVals at the
-  /// stored values with stride \p NewStride (0 = one fill value repeated,
-  /// 1 = a source range). Mode checks, the remembered-set young tests and
-  /// card dirtying are paid once per range; only SATB pre-value logging
-  /// stays per non-null slot (the log itself is per-value).
-  void rangeStoreBarrier(const Frame &F, uint32_t PC, ObjRef Base,
-                         const ObjRef *Pre, size_t N, const ObjRef *NewVals,
-                         size_t NewStride);
+  /// stored values with stride \p NewStride (0 = one value repeated, 1 = a
+  /// source range). Mode checks, the remembered-set young tests and card
+  /// dirtying are paid once per store; only SATB pre-value logging stays
+  /// per non-null slot (the log itself is per-value).
+  void storeBarrier(const Frame &F, uint32_t PC, ObjRef Base,
+                    const ObjRef *Pre, size_t N, const ObjRef *NewVals,
+                    size_t NewStride);
 
   const Program &P;
   const CompiledProgram &CP;
@@ -157,7 +149,6 @@ private:
   TrapKind Trap = TrapKind::None;
   Slot Result;
   uint64_t Steps = 0;
-  uint64_t BarrierCost = 0;
   uint64_t OpcodeCounts[64] = {};
   uint32_t MaxCallDepth = 1024;
   BarrierStats Stats;

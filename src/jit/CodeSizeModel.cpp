@@ -85,7 +85,7 @@ uint32_t CodeSizeModel::barrierCost(const Instruction &I, BarrierPlan P) {
     Cost = SatbBarrierCost;
     break;
   case MarkPlan::AlwaysLog:
-    Cost = SatbBarrierCost - 2; // no marking check
+    Cost = AlwaysLogBarrierCost;
     break;
   case MarkPlan::Card:
     Cost = CardBarrierCost;

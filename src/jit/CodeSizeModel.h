@@ -19,18 +19,42 @@
 namespace satb {
 
 struct CodeSizeModel {
-  /// Inline SATB barrier sequence: check marking-in-progress (2), load the
-  /// pre-value and null-test it (3), fill the log-buffer entry and check
-  /// for overflow on the slow path stub (4+). We charge the middle of the
+  /// The barrier price list: each step a barrier can take, in modeled RISC
+  /// instructions. The static costs below and the dynamic cost of a run
+  /// (modeledBarrierCost in interp/BarrierStats.h) are both sums of these.
+  ///
+  /// SATB: check marking-in-progress, load the pre-value and null-test it,
+  /// then fill the log-buffer entry and check for overflow out of line.
+  static constexpr uint32_t MarkingCheck = 2;
+  static constexpr uint32_t PreValueTest = 3;
+  static constexpr uint32_t LogPreValue = 6;
+  /// Always-log (Section 4.5): no marking check; load and null-test.
+  static constexpr uint32_t AlwaysLogTest = 3;
+  /// Generational remembered set: young-test the base, null + young-test
+  /// the stored value, shift + store byte on the slow edge.
+  static constexpr uint32_t RemBaseTest = 2;
+  static constexpr uint32_t RemValueTest = 2;
+  static constexpr uint32_t RemCardDirty = 2;
+  /// Section 4.3 rearrangement: a protocol store's in-bracket check (the
+  /// state reads are hoisted); the bracket enter's marking check, then its
+  /// log of the dropped element and tracing-state read; the bracket exit.
+  static constexpr uint32_t InBracketCheck = 1;
+  static constexpr uint32_t BracketEnterCheck = 2;
+  static constexpr uint32_t BracketEnterLog = 3;
+  static constexpr uint32_t BracketExit = 2;
+
+  /// Inline SATB barrier sequence, every step taken: the middle of the
   /// paper's 9-12 range.
-  static constexpr uint32_t SatbBarrierCost = 11;
+  static constexpr uint32_t SatbBarrierCost =
+      MarkingCheck + PreValueTest + LogPreValue;
+  static constexpr uint32_t AlwaysLogBarrierCost = AlwaysLogTest + LogPreValue;
   /// Card-marking barrier: shift + store byte.
   static constexpr uint32_t CardBarrierCost = 2;
-  /// Generational remembered-set barrier: young-test the base (2), null +
-  /// young-test the stored value (2), shift + store byte on the slow edge
-  /// (2). Charged per store site in BarrierMode::Generational on top of
-  /// any kept marking barrier; removed by the young-target proof.
-  static constexpr uint32_t GenRemSetCost = 6;
+  /// Generational remembered-set barrier, every step taken. Charged per
+  /// store site in BarrierMode::Generational on top of any kept marking
+  /// barrier; removed by the young-target proof.
+  static constexpr uint32_t GenRemSetCost =
+      RemBaseTest + RemValueTest + RemCardDirty;
 
   /// \returns the modeled machine-instruction count for one bytecode,
   /// excluding any write barrier.

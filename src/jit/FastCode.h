@@ -32,23 +32,21 @@
 
 namespace satb {
 
-/// The store kinds: each reference-store bytecode, plus the fused
-/// local-load + store pairs (the second slot holds the original store).
+/// The store kinds: one per reference-store bytecode. No store fuses with
+/// its neighbour, so each (kind, plan) pair has exactly one handler.
 enum class StoreKind : uint8_t {
   PutFieldRef,
   PutStaticRef,
   AAStore,
   ArrayFill,
   ArrayCopy,
-  LoadPutFieldRef,
-  LoadAAStore,
 };
 
 /// The valid barrier plans per store kind, as S(Kind, Name, Mark, Rem,
 /// Rearrange) rows: the opcode Kind_Name executes exactly the plan
 /// {MarkPlan::Mark, RemPlan::Rem, Rearrange}. A kind lists only the plans
-/// it can be given — the rearrangement protocol marks aastores alone, and
-/// its bracket check stays unfused — so no row is a dead handler.
+/// it can be given — the rearrangement protocol marks aastores alone —
+/// so no row is a dead handler.
 #define SATB_PLANS_CLASSIC(S, K)                                               \
   S(K, Elided, Elided, None, 0)                                                \
   S(K, NoBarrier, None, None, 0)                                               \
@@ -146,16 +144,16 @@ enum class StoreKind : uint8_t {
 /// Naming: <first><second>, e.g. LoadGetFieldRef fuses a local load with
 /// the field read it feeds. The pair set is profile-driven: see
 /// tools/dispatch_profile.cpp for the dynamic pair counts that justify
-/// it, and fusedOp() in FastTranslate.cpp for the selection table.
-#define SATB_FAST_FUSED_OPS(X, S)                                              \
+/// it, and fusedOp() in FastTranslate.cpp for the selection table. No
+/// reference store fuses, so each (kind, plan) has one handler
+/// (EXPERIMENTS.md "Removed mechanisms").
+#define SATB_FAST_FUSED_OPS(X)                                                 \
   X(LoadGetFieldRef)                                                           \
   X(LoadGetFieldInt)                                                           \
   X(LoadPutFieldInt)                                                           \
-  SATB_PLANS_CLASSIC(S, LoadPutFieldRef)                                       \
   X(LoadAALoad)                                                                \
   X(LoadIALoad)                                                                \
   X(LoadIAStore)                                                               \
-  SATB_PLANS_CLASSIC(S, LoadAAStore)                                           \
   X(LoadStore)                                                                 \
   X(LoadIAdd)                                                                  \
   X(LoadISub)                                                                  \
@@ -197,15 +195,13 @@ enum class StoreKind : uint8_t {
   X(IRemStore)                                                                 \
   X(IMulPop)                                                                   \
   X(IAddIConst)                                                                \
-  X(IMulIConst)                                                                \
-  SATB_PLANS_GEN(S, LoadPutFieldRef)                                           \
-  SATB_PLANS_GEN(S, LoadAAStore)
+  X(IMulIConst)
 
 /// The full dispatch set: base ops first, fused ops appended (isFusedOp
 /// relies on the ordering).
 #define SATB_FAST_OPS(X, S)                                                    \
   SATB_FAST_BASE_OPS(X, S)                                                     \
-  SATB_FAST_FUSED_OPS(X, S)
+  SATB_FAST_FUSED_OPS(X)
 
 /// Every store kind x plan row alone, in enum order.
 #define SATB_FAST_IGNORE_OP(name)
@@ -243,7 +239,7 @@ struct StoreOpInfo {
 std::optional<StoreOpInfo> storeOpInfo(FastOp Op);
 
 /// The opcode executing plan \p P at a store of kind \p K, or
-/// std::nullopt if the kind has no such row (e.g. a fused rearranged
+/// std::nullopt if the kind has no such row (e.g. a rearranged field
 /// store). Components the kind's handlers cannot express are dropped
 /// first: a non-SATB mark's rearrangement bit, and a static's
 /// remembered-set component once its marking barrier is elided (the
@@ -251,7 +247,7 @@ std::optional<StoreOpInfo> storeOpInfo(FastOp Op);
 std::optional<FastOp> findStoreOp(StoreKind K, BarrierPlan P);
 
 /// findStoreOp for a plan the compiler produced — every such plan has a
-/// row at the plain store kinds.
+/// row.
 FastOp opFor(StoreKind K, BarrierPlan P);
 
 /// Opcode name for profile dumps and diagnostics.

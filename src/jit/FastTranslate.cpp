@@ -107,16 +107,6 @@ std::optional<FastOp> satb::fusedOp(FastOp First, FastOp Second) {
     case FastOp::IfNonNull:
       return FastOp::LoadIfNonNull;
     default:
-      // A local load feeding a field or array store fuses into the same
-      // plan's Load* row, where one exists (rearranged stores stay
-      // unfused: the bracket check is cold and easiest audited alone).
-      if (std::optional<StoreOpInfo> SI = storeOpInfo(Second)) {
-        if (SI->Kind == StoreKind::PutFieldRef)
-          return findStoreOp(StoreKind::LoadPutFieldRef, SI->Plan);
-        if (SI->Kind == StoreKind::AAStore)
-          return findStoreOp(StoreKind::LoadAAStore, SI->Plan);
-        return std::nullopt;
-      }
       if (Second >= FastOp::IfEq && Second <= FastOp::IfLe)
         return At(FastOp::LoadIfEq, Off(Second, FastOp::IfEq));
       if (Second >= FastOp::IfICmpEq && Second <= FastOp::IfICmpLe)

@@ -77,6 +77,76 @@ inline BarrierStats::Summary runChecked(const Program &P, MethodId Entry,
   return S;
 }
 
+/// Builds the canonical move-down delete loop:
+///   deleteFirst(arr) { for (j=0; j < arr.length-1; j++) arr[j]=arr[j+1];
+///                      return; }
+inline MethodId buildDeleteFirst(Program &P, const char *Name) {
+  MethodBuilder B(P, Name, {JType::Ref}, std::nullopt);
+  Local Arr = B.arg(0);
+  Local J = B.newLocal(JType::Int);
+  Label Head = B.newLabel(), Exit = B.newLabel();
+  B.iconst(0).istore(J);
+  B.bind(Head);
+  B.iload(J).aload(Arr).arraylength().iconst(1).isub().ifICmpGe(Exit);
+  B.aload(Arr).iload(J);
+  B.aload(Arr).iload(J).iconst(1).iadd().aaload();
+  B.aastore();
+  B.iinc(J, 1).jump(Head);
+  B.bind(Exit).ret();
+  return B.finish();
+}
+
+/// Everything two engines (or two translations) must agree on after a
+/// run: the mutator equivalence and fusion suites compare these.
+struct Observed {
+  RunStatus Status = RunStatus::NotStarted;
+  TrapKind Trap = TrapKind::None;
+  int64_t ResultInt = 0;
+  ObjRef ResultRef = NullRef;
+  uint64_t Steps = 0;
+  uint64_t BarrierCost = 0;
+  std::vector<SiteStats> Sites;
+  uint64_t Allocated = 0;
+  uint64_t Live = 0;
+  std::vector<bool> Reachable;
+};
+
+template <typename Engine>
+inline Observed observe(const Engine &I, const Heap &H) {
+  Observed O;
+  O.Status = I.status();
+  O.Trap = I.trap();
+  O.ResultInt = I.result().Int;
+  O.ResultRef = I.result().Ref;
+  O.Steps = I.stepsExecuted();
+  O.BarrierCost = modeledBarrierCost(I.stats());
+  O.Sites = I.stats().flat();
+  O.Allocated = H.numAllocated();
+  O.Live = H.numLive();
+  O.Reachable = computeReachable(H, I.collectRoots());
+  return O;
+}
+
+inline void expectEqual(const Observed &Ref, const Observed &Fast,
+                        const std::string &What) {
+  EXPECT_EQ(Ref.Status, Fast.Status) << What;
+  EXPECT_EQ(trapName(Ref.Trap), trapName(Fast.Trap)) << What;
+  EXPECT_EQ(Ref.ResultInt, Fast.ResultInt) << What;
+  EXPECT_EQ(Ref.ResultRef, Fast.ResultRef) << What;
+  EXPECT_EQ(Ref.Steps, Fast.Steps) << What;
+  EXPECT_EQ(Ref.BarrierCost, Fast.BarrierCost) << What;
+  EXPECT_EQ(Ref.Allocated, Fast.Allocated) << What;
+  EXPECT_EQ(Ref.Live, Fast.Live) << What;
+  ASSERT_EQ(Ref.Sites.size(), Fast.Sites.size()) << What;
+  for (size_t I = 0; I != Ref.Sites.size(); ++I)
+    EXPECT_EQ(Ref.Sites[I], Fast.Sites[I])
+        << What << " flat site " << I << ": execs "
+        << Ref.Sites[I].Execs << "/" << Fast.Sites[I].Execs << " prenull "
+        << Ref.Sites[I].PreNull << "/" << Fast.Sites[I].PreNull
+        << " elided " << Ref.Sites[I].Elided << "/" << Fast.Sites[I].Elided;
+  EXPECT_EQ(Ref.Reachable, Fast.Reachable) << What;
+}
+
 } // namespace testutil
 } // namespace satb
 

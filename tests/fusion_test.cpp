@@ -115,51 +115,6 @@ size_t expectFirstSlotOnlyRewrite(const Program &P,
   return FusedCount;
 }
 
-/// Everything the engines must agree on (mirrors the equivalence test).
-struct Observed {
-  RunStatus Status = RunStatus::NotStarted;
-  TrapKind Trap = TrapKind::None;
-  int64_t ResultInt = 0;
-  ObjRef ResultRef = NullRef;
-  uint64_t Steps = 0;
-  uint64_t BarrierCost = 0;
-  std::vector<SiteStats> Sites;
-  uint64_t Allocated = 0;
-  uint64_t Live = 0;
-  std::vector<bool> Reachable;
-};
-
-Observed observe(const FastInterp &I, const Heap &H) {
-  Observed O;
-  O.Status = I.status();
-  O.Trap = I.trap();
-  O.ResultInt = I.result().Int;
-  O.ResultRef = I.result().Ref;
-  O.Steps = I.stepsExecuted();
-  O.BarrierCost = I.barrierCostInstrs();
-  O.Sites = I.stats().flat();
-  O.Allocated = H.numAllocated();
-  O.Live = H.numLive();
-  O.Reachable = computeReachable(H, I.collectRoots());
-  return O;
-}
-
-void expectEqual(const Observed &A, const Observed &B,
-                 const std::string &What) {
-  EXPECT_EQ(A.Status, B.Status) << What;
-  EXPECT_EQ(static_cast<int>(A.Trap), static_cast<int>(B.Trap)) << What;
-  EXPECT_EQ(A.ResultInt, B.ResultInt) << What;
-  EXPECT_EQ(A.ResultRef, B.ResultRef) << What;
-  EXPECT_EQ(A.Steps, B.Steps) << What;
-  EXPECT_EQ(A.BarrierCost, B.BarrierCost) << What;
-  EXPECT_EQ(A.Allocated, B.Allocated) << What;
-  EXPECT_EQ(A.Live, B.Live) << What;
-  ASSERT_EQ(A.Sites.size(), B.Sites.size()) << What;
-  for (size_t I = 0; I != A.Sites.size(); ++I)
-    EXPECT_EQ(A.Sites[I], B.Sites[I]) << What << " flat site " << I;
-  EXPECT_EQ(A.Reachable, B.Reachable) << What;
-}
-
 /// Runs \p Entry to completion under one translation; \p Quantum == 0
 /// means one uninterrupted run.
 Observed runTranslation(const Program &P, const CompiledProgram &CP,

@@ -2,6 +2,11 @@
 
 #include "TestUtil.h"
 
+#include "jit/FastCode.h"
+
+#include <cstddef>
+#include <cstring>
+
 using namespace satb;
 using namespace satb::testutil;
 
@@ -272,19 +277,6 @@ TEST(Interp, AlwaysLogModeLogsWithoutMarking) {
   EXPECT_EQ(M.stats().LoggedPreValues, 9u);
 }
 
-TEST(Interp, BarrierModeNoneCostsNothing) {
-  PairFixture F;
-  MethodBuilder B(F.P, "f", {}, std::nullopt);
-  B.newInstance(F.Pair).putstatic(F.Sink);
-  B.ret();
-  MethodId Id = B.finish();
-  CompilerOptions Opts = Runner::plainOpts();
-  Opts.Barrier = BarrierMode::None;
-  Runner R(F.P, Opts);
-  R.I.run(Id);
-  EXPECT_EQ(R.I.barrierCostInstrs(), 0u);
-}
-
 TEST(Interp, CardMarkingDirtiesCards) {
   PairFixture F;
   MethodBuilder B(F.P, "f", {}, std::nullopt);
@@ -337,4 +329,176 @@ TEST(Interp, ResumableStepping) {
   while (R.I.status() == RunStatus::Running)
     R.I.step(7); // odd quantum exercises mid-instruction-sequence resume
   EXPECT_EQ(R.I.result().Int, 4950);
+}
+
+namespace {
+
+/// The store shapes of the cost table: a field store (scalar), a two-slot
+/// ArrayFill (range), a putstatic, and the Section 4.3 move-down loop over
+/// a three-slot array (two protocol aastores in one enter/exit bracket).
+enum class Shape { Scalar, Range, Static, Rearranged };
+
+/// The modeled cost of one run of a shape, hand-summed from the price list
+/// (marking check 2, pre-value load and test 3, log 6, always-log test 3,
+/// card 2, remembered-set base test 2 + value test 2 + card dirty 2,
+/// in-bracket check 1, bracket enter 2 + 3 when it logs, bracket exit 2),
+/// in the columns idle/null, idle/non-null, active/null, active/non-null
+/// (marking state / pre-values). Under Generational the base is old and
+/// the stored value young.
+struct CostRow {
+  BarrierMode Mode;
+  Shape S;
+  uint64_t Want[4];
+};
+
+const CostRow CostRows[] = {
+    {BarrierMode::None, Shape::Scalar, {0, 0, 0, 0}},
+    {BarrierMode::None, Shape::Range, {0, 0, 0, 0}},
+    {BarrierMode::None, Shape::Static, {0, 0, 0, 0}},
+    {BarrierMode::Satb, Shape::Scalar, {2, 2, 2 + 3, 2 + 3 + 6}},
+    {BarrierMode::Satb, Shape::Range, {2, 2, 2 + 3, 2 + 3 + 6 + 6}},
+    {BarrierMode::Satb, Shape::Static, {2, 2, 2 + 3, 2 + 3 + 6}},
+    {BarrierMode::Satb, Shape::Rearranged, {8, 8, 2 + 3 + 1 + 1 + 2, 9}},
+    {BarrierMode::SatbAlwaysLog, Shape::Scalar, {3, 3 + 6, 3, 3 + 6}},
+    {BarrierMode::SatbAlwaysLog, Shape::Range, {3, 3 + 12, 3, 3 + 12}},
+    {BarrierMode::SatbAlwaysLog, Shape::Static, {3, 3 + 6, 3, 3 + 6}},
+    {BarrierMode::SatbAlwaysLog, Shape::Rearranged, {10, 2 + 18 + 2, 9, 9}},
+    {BarrierMode::CardMarking, Shape::Scalar, {2, 2, 2, 2}},
+    {BarrierMode::CardMarking, Shape::Range, {2, 2, 2, 2}},
+    {BarrierMode::CardMarking, Shape::Static, {2, 2, 2, 2}},
+    {BarrierMode::Generational, Shape::Scalar, {8, 8, 5 + 6, 11 + 6}},
+    {BarrierMode::Generational, Shape::Range, {8, 8, 5 + 6, 17 + 6}},
+    // A static is a root: no remembered-set steps.
+    {BarrierMode::Generational, Shape::Static, {2, 2, 2 + 3, 2 + 3 + 6}},
+};
+
+/// Runs \p Row's shape once on the reference engine; \returns the run's
+/// modeled barrier cost, and in \p Model the code-size model's barrier
+/// cost of the (last) store site.
+uint64_t runCostRow(const CostRow &Row, bool Marking, bool PreNonNull,
+                    uint32_t &Model) {
+  PairFixture F;
+  StaticFieldId BaseSt = F.P.addStaticField("base", JType::Ref);
+  StaticFieldId ValSt = F.P.addStaticField("val", JType::Ref);
+  StaticFieldId ArrSt = F.P.addStaticField("arr", JType::Ref);
+  MethodId Delete = buildDeleteFirst(F.P, "deleteFirst");
+  MethodBuilder B(F.P, "f", {}, std::nullopt);
+  if (Row.S == Shape::Scalar)
+    B.getstatic(BaseSt).getstatic(ValSt).putfield(F.A);
+  else if (Row.S == Shape::Range)
+    B.getstatic(ArrSt).getstatic(ValSt).iconst(0).iconst(2).arrayfill();
+  else if (Row.S == Shape::Static)
+    B.getstatic(ValSt).putstatic(F.Sink);
+  else
+    B.getstatic(ArrSt).invoke(Delete);
+  MethodId Id = B.ret().finish();
+
+  CompilerOptions Opts = Runner::plainOpts();
+  Opts.Barrier = Row.Mode;
+  Opts.EnableArrayRearrange = true;
+  Runner R(F.P, Opts);
+  Heap &H = R.H;
+  // Allocated before the nursery exists, so old under Generational.
+  ObjRef Base = H.allocateObject(F.Pair), Arr = H.allocateRefArray(3);
+  ObjRef Pre = PreNonNull ? H.allocateObject(F.Pair) : NullRef;
+  if (Row.Mode == BarrierMode::Generational)
+    H.enableNursery();
+  H.setStaticRef(ValSt, H.allocateObject(F.Pair));
+  H.setStaticRef(BaseSt, Base);
+  H.setStaticRef(ArrSt, Arr);
+  H.setStaticRef(F.Sink, Pre);
+  H.object(Base).refs()[H.fieldSlot(F.A).Slot] = Pre;
+  std::fill_n(H.object(Arr).refs(), 3, Pre);
+
+  SatbMarker M(H);
+  R.I.attachSatb(&M);
+  if (Marking)
+    M.beginMarking({});
+  EXPECT_EQ(R.I.run(Id), RunStatus::Finished) << trapName(R.I.trap());
+  if (Marking)
+    M.finishMarking();
+  const CompiledMethod &CM = R.CP.method(Id);
+  for (uint32_t PC = 0; PC != CM.Plans.size(); ++PC)
+    if (CM.Analysis.Decisions[PC].IsBarrierSite)
+      Model = CodeSizeModel::barrierCost(CM.Body.Instructions[PC],
+                                         CM.Plans[PC]);
+  return modeledBarrierCost(R.I.stats());
+}
+
+} // namespace
+
+TEST(Interp, BarrierCostIsTheSumOfTheStepsTaken) {
+  for (const CostRow &Row : CostRows)
+    for (int Col = 0; Col != 4; ++Col) {
+      SCOPED_TRACE(testing::Message() << "mode " << int(Row.Mode) << " shape "
+                                      << int(Row.S) << " column " << Col);
+      uint32_t Model = 0;
+      uint64_t Cost = runCostRow(Row, Col >= 2, Col & 1, Model);
+      EXPECT_EQ(Cost, Row.Want[Col]);
+      // A scalar execution that takes every step costs what the code-size
+      // model charges its site.
+      if ((Row.S == Shape::Scalar || Row.S == Shape::Static) && Col == 3) {
+        EXPECT_EQ(Cost, Model);
+      }
+    }
+}
+
+TEST(Interp, EveryStepOfEveryPlanCostsTheCodeSizeModelsBarrier) {
+  // For every plan a store handler exists for, one execution counted as
+  // taking every step costs exactly CodeSizeModel::barrierCost.
+  const Opcode Bytecodes[] = {Opcode::PutField, Opcode::PutStatic,
+                              Opcode::AAStore, Opcode::ArrayFill,
+                              Opcode::ArrayCopy}; // in StoreKind order
+  size_t Rows = 0;
+  for (unsigned Op = 0; Op != kNumFastOps; ++Op)
+    if (std::optional<StoreOpInfo> SI = storeOpInfo(static_cast<FastOp>(Op))) {
+      SiteStats S;
+      S.Plan = SI->Plan;
+      S.IsStatic = SI->Kind == StoreKind::PutStaticRef;
+      S.Execs = S.MarkingActive = S.PreLogged = S.OldBase = 1;
+      S.RemSetDirtied = 1;
+      Instruction I{Bytecodes[static_cast<int>(SI->Kind)], 0, 0};
+      EXPECT_EQ(modeledBarrierCost(S), CodeSizeModel::barrierCost(I, S.Plan))
+          << fastOpName(static_cast<FastOp>(Op));
+      ++Rows;
+    }
+  EXPECT_EQ(Rows, 44u);
+}
+
+namespace {
+/// Sets the \p I-th uint64_t member of \p S, a struct whose counters
+/// come first: walking that prefix covers a counter added later without
+/// naming it here.
+template <typename T> void setCounter(T &S, size_t I, uint64_t V) {
+  std::memcpy(reinterpret_cast<char *>(&S) + I * sizeof V, &V, sizeof V);
+}
+} // namespace
+
+TEST(Interp, MergeAndEqualityCoverEveryCounter) {
+  constexpr size_t NumCounters =
+      offsetof(SiteStats, IsArray) / sizeof(uint64_t);
+  constexpr size_t NumBracket = sizeof(BracketStats) / sizeof(uint64_t);
+  static_assert(NumCounters == 11, "a new SiteStats counter: check merge");
+  for (size_t I = 0; I != NumCounters; ++I) {
+    SiteStats A, B;
+    setCounter(B, I, 1);
+    EXPECT_NE(A, B) << "operator== ignores counter " << I;
+  }
+
+  PairFixture F;
+  MethodBuilder B(F.P, "f", {}, std::nullopt);
+  MethodId Id = B.newInstance(F.Pair).putstatic(F.Sink).ret().finish();
+  CompiledProgram CP = compileProgram(F.P, Runner::plainOpts());
+  BarrierStats Sum, Shard;
+  Sum.init(CP);
+  Shard.init(CP);
+  for (size_t I = 0; I != NumCounters; ++I)
+    setCounter(Shard.site(Id, 1), I, 100 + I);
+  for (size_t I = 0; I != NumBracket; ++I)
+    setCounter(Shard.brackets(), I, 200 + I);
+  Sum.merge(Shard);
+  EXPECT_EQ(Sum.flat(), Shard.flat());
+  EXPECT_EQ(std::memcmp(&Sum.brackets(), &Shard.brackets(),
+                        sizeof(BracketStats)),
+            0);
 }

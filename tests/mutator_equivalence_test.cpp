@@ -33,55 +33,6 @@ using namespace satb::testutil;
 
 namespace {
 
-/// Everything we demand the engines agree on after a run.
-struct Observed {
-  RunStatus Status = RunStatus::NotStarted;
-  TrapKind Trap = TrapKind::None;
-  int64_t ResultInt = 0;
-  ObjRef ResultRef = NullRef;
-  uint64_t Steps = 0;
-  uint64_t BarrierCost = 0;
-  std::vector<SiteStats> Sites;
-  uint64_t Allocated = 0;
-  uint64_t Live = 0;
-  std::vector<bool> Reachable;
-};
-
-template <typename Engine> Observed observe(const Engine &I, const Heap &H) {
-  Observed O;
-  O.Status = I.status();
-  O.Trap = I.trap();
-  O.ResultInt = I.result().Int;
-  O.ResultRef = I.result().Ref;
-  O.Steps = I.stepsExecuted();
-  O.BarrierCost = I.barrierCostInstrs();
-  O.Sites = I.stats().flat();
-  O.Allocated = H.numAllocated();
-  O.Live = H.numLive();
-  O.Reachable = computeReachable(H, I.collectRoots());
-  return O;
-}
-
-void expectEqual(const Observed &Ref, const Observed &Fast,
-                 const std::string &What) {
-  EXPECT_EQ(Ref.Status, Fast.Status) << What;
-  EXPECT_EQ(trapName(Ref.Trap), trapName(Fast.Trap)) << What;
-  EXPECT_EQ(Ref.ResultInt, Fast.ResultInt) << What;
-  EXPECT_EQ(Ref.ResultRef, Fast.ResultRef) << What;
-  EXPECT_EQ(Ref.Steps, Fast.Steps) << What;
-  EXPECT_EQ(Ref.BarrierCost, Fast.BarrierCost) << What;
-  EXPECT_EQ(Ref.Allocated, Fast.Allocated) << What;
-  EXPECT_EQ(Ref.Live, Fast.Live) << What;
-  ASSERT_EQ(Ref.Sites.size(), Fast.Sites.size()) << What;
-  for (size_t I = 0; I != Ref.Sites.size(); ++I)
-    EXPECT_EQ(Ref.Sites[I], Fast.Sites[I])
-        << What << " flat site " << I << ": execs "
-        << Ref.Sites[I].Execs << "/" << Fast.Sites[I].Execs << " prenull "
-        << Ref.Sites[I].PreNull << "/" << Fast.Sites[I].PreNull
-        << " elided " << Ref.Sites[I].Elided << "/" << Fast.Sites[I].Elided;
-  EXPECT_EQ(Ref.Reachable, Fast.Reachable) << What;
-}
-
 /// Runs \p Entry under both engines (fresh heap each) and compares every
 /// observable. The fast engine runs twice — superinstruction fusion on
 /// and off — and both translations must match the reference, so the

@@ -18,25 +18,6 @@ using namespace satb::testutil;
 
 namespace {
 
-/// Builds the canonical move-down delete loop:
-///   deleteFirst(arr) { for (j=0; j < arr.length-1; j++) arr[j]=arr[j+1];
-///                      return; }
-MethodId buildDeleteFirst(Program &P, const char *Name) {
-  MethodBuilder B(P, Name, {JType::Ref}, std::nullopt);
-  Local Arr = B.arg(0);
-  Local J = B.newLocal(JType::Int);
-  Label Head = B.newLabel(), Exit = B.newLabel();
-  B.iconst(0).istore(J);
-  B.bind(Head);
-  B.iload(J).aload(Arr).arraylength().iconst(1).isub().ifICmpGe(Exit);
-  B.aload(Arr).iload(J);
-  B.aload(Arr).iload(J).iconst(1).iadd().aaload();
-  B.aastore();
-  B.iinc(J, 1).jump(Head);
-  B.bind(Exit).ret();
-  return B.finish();
-}
-
 /// A workload that repeatedly fills a shared array and deletes element 0
 /// through the move-down idiom — maximal pressure on the protocol.
 struct MoveDownWorkload {

@@ -198,6 +198,9 @@ TEST(MultiMutator, ShardMergeIsExactPerSite) {
       Sum.Elided += S.Elided;
       Sum.Rearranged += S.Rearranged;
       Sum.Violations += S.Violations;
+      Sum.MarkingActive += S.MarkingActive;
+      Sum.PreLogged += S.PreLogged;
+      Sum.OldBase += S.OldBase;
     }
     ASSERT_EQ(Sum, Merged[I]) << "flat site " << I;
   }
