@@ -35,42 +35,19 @@ void MinorGC::collect(const std::vector<ObjRef> &MutatorRoots) {
     return;
   }
 
-  // Precise collection. Young reachability is computed in a scratch
-  // bitmap — MarkWords stays untouched so minor collections compose with
-  // (inactive) major cycles without clobbering their bookkeeping. The
-  // bitmap and worklist keep their storage across collections.
+  // Precise collection in one depth-first pass: a young object is promoted
+  // the first time it is reached and pushed, so its slots are read once,
+  // from the copy just made, and its cleared young bit is the visited mark.
+  // MarkWords stays untouched, so minor collections compose with (inactive)
+  // major cycles.
+  //
+  // The dirty cards' old objects are listed before anything is promoted: a
+  // young object promoted below must not be scanned again as an old one
+  // when its own card comes up. Young objects on the cards are skipped —
+  // they are reached through roots, other young objects or these old
+  // ones, or they die.
+  CardObjects.clear();
   const ObjRef HighWater = H.refHighWater();
-  YoungMark.assign((static_cast<size_t>(HighWater) + 63) / 64, 0);
-  Worklist.clear();
-
-  auto PushIfYoungUnmarked = [&](ObjRef R) {
-    if (R == NullRef || !H.isYoung(R))
-      return;
-    uint64_t &W = YoungMark[R >> 6];
-    uint64_t Bit = uint64_t(1) << (R & 63);
-    if (W & Bit)
-      return;
-    W |= Bit;
-    Worklist.push_back(R);
-  };
-
-  for (ObjRef R : MutatorRoots) {
-    if (R != NullRef && H.isYoung(R))
-      ++Stats.RootYoung;
-    PushIfYoungUnmarked(R);
-    ++Stats.PauseWork;
-  }
-  for (ObjRef R : H.staticRefs()) {
-    if (R != NullRef && H.isYoung(R))
-      ++Stats.RootYoung;
-    PushIfYoungUnmarked(R);
-    ++Stats.PauseWork;
-  }
-
-  // Remembered-set scan: every live *old* object on a dirty card is
-  // re-examined for young referents. Young objects sharing the card are
-  // skipped — they are reached through roots or other young objects, or
-  // they die.
   for (uint32_t Card = 0, E = RemSet.cardsBelow(HighWater); Card != E;
        ++Card) {
     if (!RemSet.testAndClean(Card))
@@ -79,43 +56,55 @@ void MinorGC::collect(const std::vector<ObjRef> &MutatorRoots) {
     ObjRef First = static_cast<ObjRef>(Card) << CardTable::CardShift;
     ObjRef Last = std::min<ObjRef>(First + (ObjRef(1) << CardTable::CardShift),
                                    HighWater);
-    for (ObjRef R = First; R < Last; ++R) {
-      HeapObject *Obj = H.objectOrNull(R);
-      if (!Obj || H.isYoung(R))
-        continue;
-      ++Stats.RemSetOldScanned;
+    H.forEachOld(First, Last, [&](ObjRef R) { CardObjects.push_back(R); });
+  }
+  Stats.RemSetOldScanned += CardObjects.size();
+
+  auto Reach = [&](ObjRef R) {
+    if (!H.isYoung(R)) // also NullRef: ObjRef 0 is never young
+      return;
+    Stats.PromotedBytes += H.promoteToOld(R);
+    ++Stats.PromotedObjects;
+    Worklist.push_back(R);
+  };
+  auto Drain = [&] {
+    while (!Worklist.empty()) {
+      const HeapObject &Obj = H.object(Worklist.back());
+      Worklist.pop_back();
       ++Stats.PauseWork;
-      const ObjRef *Slots = Obj->refs();
-      for (uint32_t I = 0, N = Obj->NumRefs; I != N; ++I) {
-        PushIfYoungUnmarked(loadRefAcquire(Slots + I));
+      const ObjRef *Slots = Obj.refs();
+      for (uint32_t I = 0, N = Obj.NumRefs; I != N; ++I) {
+        Reach(loadRefAcquire(Slots + I));
         ++Stats.PauseWork;
       }
     }
-  }
+  };
 
-  // Young-to-young closure.
-  while (!Worklist.empty()) {
-    ObjRef R = Worklist.back();
-    Worklist.pop_back();
-    const HeapObject &Obj = H.object(R);
-    ++Stats.PauseWork;
-    const ObjRef *Slots = Obj.refs();
-    for (uint32_t I = 0, N = Obj.NumRefs; I != N; ++I) {
-      PushIfYoungUnmarked(loadRefAcquire(Slots + I));
+  // Every root slot naming a young object counts, also one whose referent
+  // an earlier slot promoted: count them all before promoting any.
+  auto IsYoung = [&](ObjRef R) { return H.isYoung(R); };
+  for (const std::vector<ObjRef> *Roots : {&MutatorRoots, &H.staticRefs()})
+    Stats.RootYoung += std::count_if(Roots->begin(), Roots->end(), IsYoung);
+  for (const std::vector<ObjRef> *Roots : {&MutatorRoots, &H.staticRefs()})
+    for (ObjRef R : *Roots) {
+      Reach(R);
       ++Stats.PauseWork;
     }
+  Drain();
+
+  // Card objects are cold: fetch each a few entries ahead of its scan.
+  constexpr size_t PrefetchAhead = 8;
+  for (size_t I = 0, N = CardObjects.size(); I != N; ++I) {
+    if (I + PrefetchAhead < N)
+      __builtin_prefetch(&H.object(CardObjects[I + PrefetchAhead]));
+    Worklist.push_back(CardObjects[I]);
+    Drain();
   }
 
-  // Evacuate survivors, free the rest. forEachYoung copies each bitmap
-  // word before walking it, so promoting/freeing under iteration is safe.
+  // Whatever is still young was never reached.
   H.forEachYoung([&](ObjRef R) {
-    if ((YoungMark[R >> 6] >> (R & 63)) & 1) {
-      Stats.PromotedBytes += H.promoteToOld(R);
-      ++Stats.PromotedObjects;
-    } else {
-      H.free(R);
-      ++Stats.FreedYoung;
-    }
+    H.free(R);
+    ++Stats.FreedYoung;
     ++Stats.PauseWork;
   });
 

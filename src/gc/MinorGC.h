@@ -5,8 +5,12 @@
 /// over the heap's nursery (see heap/Heap.h, "Generational layer"). Young
 /// survivors are *promoted* — their block is copied into old space and the
 /// object-table entry republished, so the ObjRef is stable and no
-/// interior-reference fixup exists anywhere. Dead young objects are freed
-/// and the nursery buffer recycled wholesale.
+/// interior-reference fixup exists anywhere. A precise collection is one
+/// depth-first pass: a young object is promoted the first time it is
+/// reached and pushed for its slots to be scanned at the new address, its
+/// cleared young bit being the visited mark. Whatever is still young when
+/// the stack runs empty is dead and freed, and the nursery buffer is
+/// recycled wholesale.
 ///
 /// Reachability into the nursery comes from three sources:
 ///   1. mutator roots (operand stacks / locals, passed in by the driver),
@@ -105,9 +109,9 @@ private:
   const ConcurrentMarker *Marker = nullptr;
   bool RemSetValid = false;
   MinorGCStats Stats;
-  /// collect()'s young-reachability bitmap and worklist, kept across
-  /// collections.
-  std::vector<uint64_t> YoungMark;
+  /// collect()'s dirty-card old objects and its depth-first scan stack,
+  /// kept across collections.
+  std::vector<ObjRef> CardObjects;
   std::vector<ObjRef> Worklist;
 };
 

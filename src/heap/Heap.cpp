@@ -89,16 +89,14 @@ uint32_t Heap::promoteToOld(ObjRef R) {
     // Born young in an old-space block (nursery-exhausted TLAB fallback):
     // the storage is already tenured, so promotion is just dropping the
     // young bit — no copy, no republication.
-    __atomic_fetch_and(&YoungWords[R >> 6], ~(uint64_t(1) << (R & 63)),
-                       __ATOMIC_RELAXED);
+    clearYoung(R);
     return Bytes;
   }
   char *Mem = oldBlockMem(Bytes);
   std::memcpy(Mem, Young, Bytes);
   // Young bit off before the new address is published: a reader that sees
   // the new pointer must not still classify the object as young.
-  __atomic_fetch_and(&YoungWords[R >> 6], ~(uint64_t(1) << (R & 63)),
-                     __ATOMIC_RELAXED);
+  clearYoung(R);
   __atomic_store_n(&Table[R], reinterpret_cast<HeapObject *>(Mem),
                    __ATOMIC_RELEASE);
   return Bytes;
@@ -409,7 +407,7 @@ void Heap::free(ObjRef R) {
   release(R);
   LiveWords[R >> 6] &= ~(uint64_t(1) << (R & 63));
   MarkWords[R >> 6] &= ~(uint64_t(1) << (R & 63));
-  YoungWords[R >> 6] &= ~(uint64_t(1) << (R & 63));
+  clearYoung(R);
   --NumLive;
 }
 

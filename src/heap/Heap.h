@@ -394,6 +394,24 @@ public:
     }
   }
 
+  /// Invokes \p Fn(R) for every live object in [\p First, \p Last) that is
+  /// not young, in ascending ObjRef order, reading each live and young
+  /// bitmap word once. \p First starts a bitmap word; \p Last is at most
+  /// refHighWater(). Stop-the-world only: then a live bit implies a
+  /// published object (objectOrNull would return it).
+  template <typename FnT>
+  void forEachOld(ObjRef First, ObjRef Last, FnT Fn) const {
+    assert(First % 64 == 0 && "range starts inside a bitmap word");
+    for (size_t WI = First / 64; WI * 64 < Last; ++WI) {
+      uint64_t W = __atomic_load_n(&LiveWords[WI], __ATOMIC_RELAXED) &
+                   ~__atomic_load_n(&YoungWords[WI], __ATOMIC_RELAXED);
+      if (Last - WI * 64 < 64)
+        W &= (uint64_t(1) << (Last - WI * 64)) - 1;
+      for (; W; W &= W - 1)
+        Fn(static_cast<ObjRef>(WI * 64 + __builtin_ctzll(W)));
+    }
+  }
+
   /// Drops a TLAB's current chunk if it was carved from the nursery; called
   /// for every context inside the minor-GC pause, before the nursery is
   /// reset, so no mutator can keep bumping into recycled space.
@@ -697,6 +715,16 @@ private:
   /// Installs a header into the fixed-capacity table using the TLAB's
   /// private ref block (refilled under SlowLock from RefCursor).
   ObjRef tlabInstall(Tlab &T, HeapObject *Obj);
+  /// Clears \p R's young bit. Young bits of published objects change only
+  /// with the world stopped (promoteToOld, free), and a TLAB sets bits
+  /// only between pauses, so a relaxed load and store do — no locked RMW.
+  void clearYoung(ObjRef R) {
+    uint64_t &W = YoungWords[R >> 6];
+    __atomic_store_n(&W,
+                     __atomic_load_n(&W, __ATOMIC_RELAXED) &
+                         ~(uint64_t(1) << (R & 63)),
+                     __ATOMIC_RELAXED);
+  }
   /// Bitmap words holding the bits below refHighWater().
   size_t highWaterWords() const {
     return (static_cast<size_t>(refHighWater()) + 63) / 64;

@@ -433,6 +433,65 @@ TEST_F(HeapFixture, MinorGCDirtyCardOverApproximationIsSafe) {
   EXPECT_EQ(Gen.stats().RemSetCardsScanned, 1u);
 }
 
+TEST_F(HeapFixture, MinorGCPromotesEachSurvivorOnce) {
+  // A precise collection promotes a young object when it first reaches
+  // it, from whichever source. Shared is reached five ways (two roots, a
+  // static, an old object on a dirty card, a young object); a three-deep
+  // young chain hangs only off a dirty card's old object; a young cycle
+  // is unreachable. Every object here shares card 0, so the young ones
+  // promoted mid-scan sit on the card being scanned.
+  Heap H(P);
+  ObjRef OldShared = H.allocateObject(C); // allocated before the nursery
+  ObjRef OldChain = H.allocateObject(C);
+  H.enableNursery();
+  MinorGC Gen(H);
+  Gen.setRemSetValid(true);
+  ObjRef Shared = H.allocateObject(C);
+  ObjRef Link1 = H.allocateObject(C);
+  ObjRef Link2 = H.allocateRefArray(3);
+  ObjRef Link3 = H.allocateObject(C);
+  ObjRef Dead1 = H.allocateObject(C);
+  ObjRef Dead2 = H.allocateObject(C);
+  for (ObjRef R : {OldShared, OldChain, Shared, Link1, Link2, Link3, Dead1,
+                   Dead2})
+    ASSERT_EQ(R >> CardTable::CardShift, 0u);
+  H.object(OldShared).refs()[0] = Shared;
+  Gen.recordOldToYoung(OldShared);
+  H.object(OldChain).refs()[1] = Link1;
+  Gen.recordOldToYoung(OldChain);
+  H.object(Link1).refs()[0] = Link2;
+  H.object(Link2).refs()[2] = Link3;
+  H.object(Link3).refs()[1] = Shared;
+  H.object(Dead1).refs()[0] = Dead2;
+  H.object(Dead2).refs()[0] = Dead1;
+  H.setStaticRef(SRef, Shared);
+  const std::vector<ObjRef> Survivors = {Shared, Link1, Link2, Link3};
+  uint64_t SurvivorBytes = 0;
+  for (ObjRef R : Survivors)
+    SurvivorBytes += H.object(R).blockBytes();
+
+  Gen.collect({Shared, NullRef, OldShared, Shared});
+
+  const MinorGCStats &S = Gen.stats();
+  EXPECT_EQ(S.WholesalePromotions, 0u);
+  EXPECT_EQ(S.PromotedObjects, Survivors.size());
+  EXPECT_EQ(S.PromotedBytes, SurvivorBytes);
+  EXPECT_EQ(S.FreedYoung, 2u);
+  EXPECT_EQ(S.RootYoung, 3u); // two root slots and the static
+  EXPECT_EQ(S.RemSetCardsScanned, 1u);
+  EXPECT_EQ(S.RemSetOldScanned, 2u); // promoted survivors are not rescanned
+  for (ObjRef R : Survivors) {
+    EXPECT_TRUE(H.isLive(R)) << R;
+    EXPECT_FALSE(H.inNursery(&H.object(R))) << R;
+  }
+  EXPECT_FALSE(H.isLive(Dead1));
+  EXPECT_FALSE(H.isLive(Dead2));
+  EXPECT_TRUE(youngByFullWalk(H).empty());
+  EXPECT_EQ(H.object(Link2).refs()[2], Link3); // edges survive promotion
+  EXPECT_EQ(H.object(Link3).refs()[1], Shared);
+  EXPECT_EQ(H.numLive(), 2u + Survivors.size());
+}
+
 TEST_F(HeapFixture, MinorGCWholesaleWhenRemSetInvalid) {
   // RemSetValid defaults to false (no generational barrier maintaining
   // it): the collection must promote everything and free nothing.
