@@ -195,17 +195,32 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
     Frames.back().SP = SP;                                                     \
   } while (0)
 
+// The trap checks of a field access (binding O to the object of class
+// I->B) and of an array element access (binding O to the array of kind
+// KIND that holds index Idx), in the reference engine's order.
+#define FIELD_OBJECT(Obj, I)                                                   \
+  if (Obj == NullRef)                                                          \
+    TRAP(NullPointer);                                                         \
+  HeapObject &O = *Tbl[Obj];                                                   \
+  if (O.Kind != ObjectKind::Object ||                                          \
+      O.Class != static_cast<ClassId>((I)->B))                                 \
+  TRAP(BadFieldAccess)
+#define ARRAY_ELEMENT(Arr, KIND, Idx)                                          \
+  if (Arr == NullRef)                                                          \
+    TRAP(NullPointer);                                                         \
+  HeapObject &O = *Tbl[Arr];                                                   \
+  if (O.Kind != ObjectKind::KIND)                                              \
+    TRAP(BadFieldAccess);                                                      \
+  if (Idx < 0 || Idx >= O.arrayLength())                                       \
+  TRAP(OutOfBounds)
+
 // Pop / trap-check / stat prologues for the specialized store families.
 // Evaluation order matches the reference engine: value first, then the
 // remaining pops, then the trap checks.
 #define PUTFIELD_REF_PROLOGUE()                                                \
   Slot Val = POP();                                                            \
   ObjRef Obj = POP().Ref;                                                      \
-  if (Obj == NullRef)                                                          \
-    TRAP(NullPointer);                                                         \
-  HeapObject &O = *Tbl[Obj];                                                   \
-  if (O.Kind != ObjectKind::Object || O.Class != static_cast<ClassId>(IP->B))  \
-    TRAP(BadFieldAccess);                                                      \
+  FIELD_OBJECT(Obj, IP);                                                       \
   ObjRef *SlotP = O.refs() + IP->A;                                            \
   ObjRef Pre = loadRefAcquire(SlotP);                                          \
   SiteStats &SS = Sites[IP->Site];                                             \
@@ -226,13 +241,7 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
   Slot Val = POP();                                                            \
   int64_t Idx = POP().Int;                                                     \
   ObjRef Arr = POP().Ref;                                                      \
-  if (Arr == NullRef)                                                          \
-    TRAP(NullPointer);                                                         \
-  HeapObject &O = *Tbl[Arr];                                                   \
-  if (O.Kind != ObjectKind::RefArray)                                          \
-    TRAP(BadFieldAccess);                                                      \
-  if (Idx < 0 || Idx >= O.arrayLength())                                       \
-    TRAP(OutOfBounds);                                                         \
+  ARRAY_ELEMENT(Arr, RefArray, Idx);                                           \
   ObjRef *SlotP = O.refs() + Idx;                                              \
   ObjRef Pre = loadRefAcquire(SlotP);                                          \
   SiteStats &SS = Sites[IP->Site];                                             \
@@ -304,47 +313,149 @@ void FastInterp::collectRoots(std::vector<ObjRef> &Out) const {
 #define FILL_ANYYOUNG (N != 0 && Val != NullRef && H.isYoung(Val))
 #define COPY_ANYYOUNG (H.anyYoung(SrcP, N))
 
-// --- Superinstruction plumbing ---------------------------------------------
+// --- Row ops ---------------------------------------------------------------
 //
-// A fused handler runs with one fuel unit already paid (the DISPATCH that
-// reached it). FUSE_* charges the second half's unit — or, when the
-// quantum is exhausted, executes only the first half and suspends on the
-// second slot, which still holds the original instruction. Suspension
-// points, step totals, and the operand stack at every boundary are
-// therefore exactly those of the unfused translation.
-#define FUSE_SECOND_HALF_OR(FirstHalf)                                         \
+// The semantics of each op a SATB_FAST_FUSED_OPS row names, and of every
+// branch, written once as OP_<name>(TOP, I). TOP is the expression for
+// the op's first pop (an op that pops nothing ignores it) and I the
+// instruction holding its operands. A taken branch leaves through
+// JUMP(I); every other exit is the caller's, to I + 1. The base handler
+// is OP_X(POP(), IP); a Pipe row passes the first half's value as TOP and
+// the second slot as I, so the value never touches the operand stack.
+// Pass TOP as an expression: a Slot temporary costs the dispatch loop a
+// spill.
+#define JUMP(I)                                                                \
   do {                                                                         \
-    if (Fuel == 0) {                                                           \
-      FirstHalf;                                                               \
-      NEXT();                                                                  \
-    }                                                                          \
-    --Fuel;                                                                    \
-  } while (0)
-
-#define FUSE_LOAD() FUSE_SECOND_HALF_OR(PUSH(Base[IP->A]))
-#define FUSE_ICONST() FUSE_SECOND_HALF_OR(PUSH(Slot::ofInt(IP->A)))
-#define FUSE_IINC()                                                            \
-  FUSE_SECOND_HALF_OR({                                                        \
-    Slot &L = Base[IP->A];                                                     \
-    L = Slot::ofInt(wrap32(L.Int + IP->B));                                    \
-  })
-
-#define NEXT2()                                                                \
-  do {                                                                         \
-    IP += 2;                                                                   \
+    IP = (I) + (I)->A; /* branch operands are self-relative */                 \
     DISPATCH();                                                                \
   } while (0)
 
-// The retained second slot's branch displacement is relative to itself
-// (one past the fused op), hence the +1.
-#define FUSED_BRANCH(Cond)                                                     \
-  do {                                                                         \
-    if (Cond) {                                                                \
-      IP += 1 + IP[1].A;                                                       \
-      DISPATCH();                                                              \
-    }                                                                          \
-    NEXT2();                                                                   \
-  } while (0)
+#define OP_IConst(TOP, I) PUSH(Slot::ofInt((I)->A))
+#define OP_Load(TOP, I) PUSH(Base[(I)->A])
+#define OP_Store(TOP, I) Base[(I)->A] = (TOP)
+#define OP_IInc(TOP, I)                                                        \
+  {                                                                            \
+    Slot &L = Base[(I)->A];                                                    \
+    L = Slot::ofInt(wrap32(L.Int + (I)->B));                                   \
+  }
+#define OP_Pop(TOP, I) (void)(TOP)
+#define OP_Goto(TOP, I) JUMP(I)
+#define INT_BINOP(TOP, EXPR)                                                   \
+  {                                                                            \
+    int64_t B = (TOP).Int, A = POP().Int;                                      \
+    PUSH(Slot::ofInt(wrap32(EXPR)));                                           \
+  }
+#define OP_IAdd(TOP, I) INT_BINOP(TOP, A + B)
+#define OP_ISub(TOP, I) INT_BINOP(TOP, A - B)
+#define OP_IMul(TOP, I) INT_BINOP(TOP, A * B)
+#define OP_IRem(TOP, I)                                                        \
+  {                                                                            \
+    int64_t B = (TOP).Int, A = POP().Int;                                      \
+    if (B == 0)                                                                \
+      TRAP(DivisionByZero);                                                    \
+    PUSH(Slot::ofInt(wrap32(A % B)));                                          \
+  }
+#define OP_GetFieldRef(TOP, I)                                                 \
+  {                                                                            \
+    ObjRef Obj = (TOP).Ref;                                                    \
+    FIELD_OBJECT(Obj, I);                                                      \
+    PUSH(Slot::ofRef(loadRefAcquire(O.refs() + (I)->A)));                      \
+  }
+#define OP_GetFieldInt(TOP, I)                                                 \
+  {                                                                            \
+    ObjRef Obj = (TOP).Ref;                                                    \
+    FIELD_OBJECT(Obj, I);                                                      \
+    PUSH(Slot::ofInt(loadIntRelaxed(O.ints() + (I)->A)));                      \
+  }
+#define OP_PutFieldInt(TOP, I)                                                 \
+  {                                                                            \
+    Slot Val = (TOP);                                                          \
+    ObjRef Obj = POP().Ref;                                                    \
+    FIELD_OBJECT(Obj, I);                                                      \
+    storeIntRelaxed(O.ints() + (I)->A, Val.Int);                               \
+  }
+#define OP_AALoad(TOP, I)                                                      \
+  {                                                                            \
+    int64_t Idx = (TOP).Int;                                                   \
+    ObjRef Arr = POP().Ref;                                                    \
+    ARRAY_ELEMENT(Arr, RefArray, Idx);                                         \
+    PUSH(Slot::ofRef(loadRefAcquire(O.refs() + Idx)));                         \
+  }
+#define IF_ZERO(TOP, I, CMP)                                                   \
+  if ((TOP).Int CMP 0)                                                         \
+  JUMP(I)
+#define IF_ICMP(TOP, I, CMP)                                                   \
+  {                                                                            \
+    int64_t B = (TOP).Int, A = POP().Int;                                      \
+    if (A CMP B)                                                               \
+      JUMP(I);                                                                 \
+  }
+#define IF_ACMP(TOP, I, CMP)                                                   \
+  {                                                                            \
+    ObjRef B = (TOP).Ref, A = POP().Ref;                                       \
+    if (A CMP B)                                                               \
+      JUMP(I);                                                                 \
+  }
+#define OP_IfEq(TOP, I) IF_ZERO(TOP, I, ==)
+#define OP_IfNe(TOP, I) IF_ZERO(TOP, I, !=)
+#define OP_IfLt(TOP, I) IF_ZERO(TOP, I, <)
+#define OP_IfGe(TOP, I) IF_ZERO(TOP, I, >=)
+#define OP_IfGt(TOP, I) IF_ZERO(TOP, I, >)
+#define OP_IfLe(TOP, I) IF_ZERO(TOP, I, <=)
+#define OP_IfICmpEq(TOP, I) IF_ICMP(TOP, I, ==)
+#define OP_IfICmpNe(TOP, I) IF_ICMP(TOP, I, !=)
+#define OP_IfICmpLt(TOP, I) IF_ICMP(TOP, I, <)
+#define OP_IfICmpGe(TOP, I) IF_ICMP(TOP, I, >=)
+#define OP_IfICmpGt(TOP, I) IF_ICMP(TOP, I, >)
+#define OP_IfICmpLe(TOP, I) IF_ICMP(TOP, I, <=)
+#define OP_IfNull(TOP, I)                                                      \
+  if ((TOP).Ref == NullRef)                                                    \
+  JUMP(I)
+#define OP_IfNonNull(TOP, I)                                                   \
+  if ((TOP).Ref != NullRef)                                                    \
+  JUMP(I)
+#define OP_IfACmpEq(TOP, I) IF_ACMP(TOP, I, ==)
+#define OP_IfACmpNe(TOP, I) IF_ACMP(TOP, I, !=)
+
+#define BASE_CASE(X)                                                           \
+  CASE(X) {                                                                    \
+    OP_##X(POP(), IP);                                                         \
+    NEXT();                                                                    \
+  }
+
+// --- Generated superinstruction handlers -----------------------------------
+//
+// One handler per SATB_FAST_FUSED_OPS row. It runs with the first half's
+// fuel unit paid (the DISPATCH that reached it) and pays the second
+// half's on entering it, so a trap in the first half charges one unit.
+// When the quantum is exhausted it runs the first half's own handler
+// instead, which suspends on the second slot; that slot still holds the
+// original instruction. Suspension points, step totals and the operand
+// stack at every boundary and trap are therefore exactly those of the
+// unfused translation. A Pipe row hands the first half's value to the
+// second half's body as TOP_<First>; a Seq row runs both bodies. Each
+// row ends in its own dispatch: a Seq row that went to the second half's
+// handler instead shared that handler's indirect jump and reloaded Base,
+// and was slower (DESIGN.md "Superinstructions").
+#define TOP_Load Base[IP->A]
+#define TOP_IConst Slot::ofInt(IP->A)
+#define FUSED_Pipe(First, Second)                                              \
+  --Fuel;                                                                      \
+  OP_##Second(TOP_##First, IP + 1);                                            \
+  IP += 2;                                                                     \
+  DISPATCH()
+#define FUSED_Seq(First, Second)                                               \
+  OP_##First(POP(), IP);                                                       \
+  --Fuel;                                                                      \
+  OP_##Second(POP(), IP + 1);                                                  \
+  IP += 2;                                                                     \
+  DISPATCH()
+#define FUSED_CASE(Kind, First, Second)                                        \
+  CASE(First##Second) {                                                        \
+    if (Fuel == 0)                                                             \
+      goto L_##First;                                                          \
+    FUSED_##Kind(First, Second);                                               \
+  }
 
 // --- Generated store handlers ----------------------------------------------
 //
@@ -451,63 +562,37 @@ RunStatus FastInterp::stepImpl(uint64_t MaxSteps) {
   static const void *const Labels[] = {
 #define X(name) &&L_##name,
 #define S(K, Name, M, R, Rr) &&L_##K##_##Name,
-      SATB_FAST_OPS(X, S)
+#define R(Kind, First, Second) &&L_##First##Second,
+      SATB_FAST_OPS(X, S, R)
+#undef R
 #undef S
 #undef X
   };
   DISPATCH();
 
-  CASE(IConst) {
-    PUSH(Slot::ofInt(IP->A));
-    NEXT();
-  }
+  BASE_CASE(IConst)
   CASE(AConstNull) {
     PUSH(Slot::ofRef(NullRef));
     NEXT();
   }
-  CASE(Load) {
-    PUSH(Base[IP->A]);
-    NEXT();
-  }
-  CASE(Store) {
-    Base[IP->A] = POP();
-    NEXT();
-  }
-  CASE(IInc) {
-    Slot &L = Base[IP->A];
-    L = Slot::ofInt(wrap32(L.Int + IP->B));
-    NEXT();
-  }
+  BASE_CASE(Load)
+  BASE_CASE(Store)
+  BASE_CASE(IInc)
   CASE(Dup) {
     Slot S = SP[-1];
     PUSH(S);
     NEXT();
   }
-  CASE(Pop) {
-    --SP;
-    NEXT();
-  }
+  BASE_CASE(Pop)
   CASE(Swap) {
     Slot A = POP(), B = POP();
     PUSH(A);
     PUSH(B);
     NEXT();
   }
-  CASE(IAdd) {
-    int64_t B = POP().Int, A = POP().Int;
-    PUSH(Slot::ofInt(wrap32(A + B)));
-    NEXT();
-  }
-  CASE(ISub) {
-    int64_t B = POP().Int, A = POP().Int;
-    PUSH(Slot::ofInt(wrap32(A - B)));
-    NEXT();
-  }
-  CASE(IMul) {
-    int64_t B = POP().Int, A = POP().Int;
-    PUSH(Slot::ofInt(wrap32(A * B)));
-    NEXT();
-  }
+  BASE_CASE(IAdd)
+  BASE_CASE(ISub)
+  BASE_CASE(IMul)
   CASE(IDiv) {
     int64_t B = POP().Int, A = POP().Int;
     if (B == 0)
@@ -515,52 +600,15 @@ RunStatus FastInterp::stepImpl(uint64_t MaxSteps) {
     PUSH(Slot::ofInt(wrap32(A / B))); // int64 math: INT_MIN / -1 is defined
     NEXT();
   }
-  CASE(IRem) {
-    int64_t B = POP().Int, A = POP().Int;
-    if (B == 0)
-      TRAP(DivisionByZero);
-    PUSH(Slot::ofInt(wrap32(A % B)));
-    NEXT();
-  }
+  BASE_CASE(IRem)
   CASE(INeg) {
     int64_t A = POP().Int;
     PUSH(Slot::ofInt(wrap32(-A)));
     NEXT();
   }
-  CASE(GetFieldRef) {
-    ObjRef Obj = POP().Ref;
-    if (Obj == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Obj];
-    if (O.Kind != ObjectKind::Object ||
-        O.Class != static_cast<ClassId>(IP->B))
-      TRAP(BadFieldAccess);
-    PUSH(Slot::ofRef(loadRefAcquire(O.refs() + IP->A)));
-    NEXT();
-  }
-  CASE(GetFieldInt) {
-    ObjRef Obj = POP().Ref;
-    if (Obj == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Obj];
-    if (O.Kind != ObjectKind::Object ||
-        O.Class != static_cast<ClassId>(IP->B))
-      TRAP(BadFieldAccess);
-    PUSH(Slot::ofInt(loadIntRelaxed(O.ints() + IP->A)));
-    NEXT();
-  }
-  CASE(PutFieldInt) {
-    Slot Val = POP();
-    ObjRef Obj = POP().Ref;
-    if (Obj == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Obj];
-    if (O.Kind != ObjectKind::Object ||
-        O.Class != static_cast<ClassId>(IP->B))
-      TRAP(BadFieldAccess);
-    storeIntRelaxed(O.ints() + IP->A, Val.Int);
-    NEXT();
-  }
+  BASE_CASE(GetFieldRef)
+  BASE_CASE(GetFieldInt)
+  BASE_CASE(PutFieldInt)
   CASE(GetStaticRef) {
     PUSH(Slot::ofRef(loadRefAcquire(StaticR + IP->A)));
     NEXT();
@@ -606,29 +654,11 @@ RunStatus FastInterp::stepImpl(uint64_t MaxSteps) {
     PUSH(Slot::ofRef(R));
     NEXT();
   }
-  CASE(AALoad) {
-    int64_t Idx = POP().Int;
-    ObjRef Arr = POP().Ref;
-    if (Arr == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Arr];
-    if (O.Kind != ObjectKind::RefArray)
-      TRAP(BadFieldAccess);
-    if (Idx < 0 || Idx >= O.arrayLength())
-      TRAP(OutOfBounds);
-    PUSH(Slot::ofRef(loadRefAcquire(O.refs() + Idx)));
-    NEXT();
-  }
+  BASE_CASE(AALoad)
   CASE(IALoad) {
     int64_t Idx = POP().Int;
     ObjRef Arr = POP().Ref;
-    if (Arr == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Arr];
-    if (O.Kind != ObjectKind::IntArray)
-      TRAP(BadFieldAccess);
-    if (Idx < 0 || Idx >= O.arrayLength())
-      TRAP(OutOfBounds);
+    ARRAY_ELEMENT(Arr, IntArray, Idx);
     PUSH(Slot::ofInt(loadIntRelaxed(O.ints() + Idx)));
     NEXT();
   }
@@ -636,13 +666,7 @@ RunStatus FastInterp::stepImpl(uint64_t MaxSteps) {
     Slot Val = POP();
     int64_t Idx = POP().Int;
     ObjRef Arr = POP().Ref;
-    if (Arr == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Arr];
-    if (O.Kind != ObjectKind::IntArray)
-      TRAP(BadFieldAccess);
-    if (Idx < 0 || Idx >= O.arrayLength())
-      TRAP(OutOfBounds);
+    ARRAY_ELEMENT(Arr, IntArray, Idx);
     storeIntRelaxed(O.ints() + Idx, Val.Int);
     NEXT();
   }
@@ -685,130 +709,23 @@ RunStatus FastInterp::stepImpl(uint64_t MaxSteps) {
     IP = Callee.Code.data();
     DISPATCH();
   }
-  CASE(Goto) {
-    IP += IP->A; // branch operands are self-relative displacements
-    DISPATCH();
-  }
-  CASE(IfEq) {
-    if (POP().Int == 0) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfNe) {
-    if (POP().Int != 0) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfLt) {
-    if (POP().Int < 0) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfGe) {
-    if (POP().Int >= 0) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfGt) {
-    if (POP().Int > 0) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfLe) {
-    if (POP().Int <= 0) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfICmpEq) {
-    int64_t B = POP().Int, A = POP().Int;
-    if (A == B) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfICmpNe) {
-    int64_t B = POP().Int, A = POP().Int;
-    if (A != B) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfICmpLt) {
-    int64_t B = POP().Int, A = POP().Int;
-    if (A < B) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfICmpGe) {
-    int64_t B = POP().Int, A = POP().Int;
-    if (A >= B) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfICmpGt) {
-    int64_t B = POP().Int, A = POP().Int;
-    if (A > B) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfICmpLe) {
-    int64_t B = POP().Int, A = POP().Int;
-    if (A <= B) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfNull) {
-    if (POP().Ref == NullRef) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfNonNull) {
-    if (POP().Ref != NullRef) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfACmpEq) {
-    ObjRef B = POP().Ref, A = POP().Ref;
-    if (A == B) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
-  CASE(IfACmpNe) {
-    ObjRef B = POP().Ref, A = POP().Ref;
-    if (A != B) {
-      IP += IP->A;
-      DISPATCH();
-    }
-    NEXT();
-  }
+  BASE_CASE(Goto)
+  BASE_CASE(IfEq)
+  BASE_CASE(IfNe)
+  BASE_CASE(IfLt)
+  BASE_CASE(IfGe)
+  BASE_CASE(IfGt)
+  BASE_CASE(IfLe)
+  BASE_CASE(IfICmpEq)
+  BASE_CASE(IfICmpNe)
+  BASE_CASE(IfICmpLt)
+  BASE_CASE(IfICmpGe)
+  BASE_CASE(IfICmpGt)
+  BASE_CASE(IfICmpLe)
+  BASE_CASE(IfNull)
+  BASE_CASE(IfNonNull)
+  BASE_CASE(IfACmpEq)
+  BASE_CASE(IfACmpNe)
   CASE(Ret) {
     Frames.pop_back();
     if (Frames.empty()) {
@@ -895,363 +812,8 @@ RunStatus FastInterp::stepImpl(uint64_t MaxSteps) {
   }
 
   // --- Superinstructions ----------------------------------------------------
-  // Each handler: FUSE_* pays the second half's fuel (or bails to the
-  // unfused first half), the body does both halves' work reading the
-  // second half's operands from the retained IP[1], and control leaves
-  // via NEXT2/FUSED_BRANCH. Trap paths reproduce the reference engine's
-  // operand-stack state exactly: the value the first half would have
-  // pushed was never pushed, and the second half's pops skip that same
-  // value — the net stack motion at every trap point is identical.
-
-  CASE(LoadGetFieldRef) {
-    FUSE_LOAD();
-    ObjRef Obj = Base[IP->A].Ref;
-    if (Obj == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Obj];
-    if (O.Kind != ObjectKind::Object ||
-        O.Class != static_cast<ClassId>(IP[1].B))
-      TRAP(BadFieldAccess);
-    PUSH(Slot::ofRef(loadRefAcquire(O.refs() + IP[1].A)));
-    NEXT2();
-  }
-  CASE(LoadGetFieldInt) {
-    FUSE_LOAD();
-    ObjRef Obj = Base[IP->A].Ref;
-    if (Obj == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Obj];
-    if (O.Kind != ObjectKind::Object ||
-        O.Class != static_cast<ClassId>(IP[1].B))
-      TRAP(BadFieldAccess);
-    PUSH(Slot::ofInt(loadIntRelaxed(O.ints() + IP[1].A)));
-    NEXT2();
-  }
-  CASE(LoadPutFieldInt) {
-    FUSE_LOAD();
-    Slot Val = Base[IP->A];
-    ObjRef Obj = POP().Ref;
-    if (Obj == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Obj];
-    if (O.Kind != ObjectKind::Object ||
-        O.Class != static_cast<ClassId>(IP[1].B))
-      TRAP(BadFieldAccess);
-    storeIntRelaxed(O.ints() + IP[1].A, Val.Int);
-    NEXT2();
-  }
-  CASE(LoadAALoad) {
-    FUSE_LOAD();
-    int64_t Idx = Base[IP->A].Int;
-    ObjRef Arr = POP().Ref;
-    if (Arr == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Arr];
-    if (O.Kind != ObjectKind::RefArray)
-      TRAP(BadFieldAccess);
-    if (Idx < 0 || Idx >= O.arrayLength())
-      TRAP(OutOfBounds);
-    PUSH(Slot::ofRef(loadRefAcquire(O.refs() + Idx)));
-    NEXT2();
-  }
-  CASE(LoadIALoad) {
-    FUSE_LOAD();
-    int64_t Idx = Base[IP->A].Int;
-    ObjRef Arr = POP().Ref;
-    if (Arr == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Arr];
-    if (O.Kind != ObjectKind::IntArray)
-      TRAP(BadFieldAccess);
-    if (Idx < 0 || Idx >= O.arrayLength())
-      TRAP(OutOfBounds);
-    PUSH(Slot::ofInt(loadIntRelaxed(O.ints() + Idx)));
-    NEXT2();
-  }
-  CASE(LoadIAStore) {
-    FUSE_LOAD();
-    Slot Val = Base[IP->A];
-    int64_t Idx = POP().Int;
-    ObjRef Arr = POP().Ref;
-    if (Arr == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Arr];
-    if (O.Kind != ObjectKind::IntArray)
-      TRAP(BadFieldAccess);
-    if (Idx < 0 || Idx >= O.arrayLength())
-      TRAP(OutOfBounds);
-    storeIntRelaxed(O.ints() + Idx, Val.Int);
-    NEXT2();
-  }
-  CASE(LoadStore) {
-    FUSE_LOAD();
-    Base[IP[1].A] = Base[IP->A];
-    NEXT2();
-  }
-  CASE(LoadIAdd) {
-    FUSE_LOAD();
-    int64_t B = Base[IP->A].Int, A = POP().Int;
-    PUSH(Slot::ofInt(wrap32(A + B)));
-    NEXT2();
-  }
-  CASE(LoadISub) {
-    FUSE_LOAD();
-    int64_t B = Base[IP->A].Int, A = POP().Int;
-    PUSH(Slot::ofInt(wrap32(A - B)));
-    NEXT2();
-  }
-  CASE(LoadIMul) {
-    FUSE_LOAD();
-    int64_t B = Base[IP->A].Int, A = POP().Int;
-    PUSH(Slot::ofInt(wrap32(A * B)));
-    NEXT2();
-  }
-  CASE(LoadIfEq) {
-    FUSE_LOAD();
-    FUSED_BRANCH(Base[IP->A].Int == 0);
-  }
-  CASE(LoadIfNe) {
-    FUSE_LOAD();
-    FUSED_BRANCH(Base[IP->A].Int != 0);
-  }
-  CASE(LoadIfLt) {
-    FUSE_LOAD();
-    FUSED_BRANCH(Base[IP->A].Int < 0);
-  }
-  CASE(LoadIfGe) {
-    FUSE_LOAD();
-    FUSED_BRANCH(Base[IP->A].Int >= 0);
-  }
-  CASE(LoadIfGt) {
-    FUSE_LOAD();
-    FUSED_BRANCH(Base[IP->A].Int > 0);
-  }
-  CASE(LoadIfLe) {
-    FUSE_LOAD();
-    FUSED_BRANCH(Base[IP->A].Int <= 0);
-  }
-  CASE(LoadIfICmpEq) {
-    FUSE_LOAD();
-    int64_t B = Base[IP->A].Int, A = POP().Int;
-    FUSED_BRANCH(A == B);
-  }
-  CASE(LoadIfICmpNe) {
-    FUSE_LOAD();
-    int64_t B = Base[IP->A].Int, A = POP().Int;
-    FUSED_BRANCH(A != B);
-  }
-  CASE(LoadIfICmpLt) {
-    FUSE_LOAD();
-    int64_t B = Base[IP->A].Int, A = POP().Int;
-    FUSED_BRANCH(A < B);
-  }
-  CASE(LoadIfICmpGe) {
-    FUSE_LOAD();
-    int64_t B = Base[IP->A].Int, A = POP().Int;
-    FUSED_BRANCH(A >= B);
-  }
-  CASE(LoadIfICmpGt) {
-    FUSE_LOAD();
-    int64_t B = Base[IP->A].Int, A = POP().Int;
-    FUSED_BRANCH(A > B);
-  }
-  CASE(LoadIfICmpLe) {
-    FUSE_LOAD();
-    int64_t B = Base[IP->A].Int, A = POP().Int;
-    FUSED_BRANCH(A <= B);
-  }
-  CASE(LoadIfNull) {
-    FUSE_LOAD();
-    FUSED_BRANCH(Base[IP->A].Ref == NullRef);
-  }
-  CASE(LoadIfNonNull) {
-    FUSE_LOAD();
-    FUSED_BRANCH(Base[IP->A].Ref != NullRef);
-  }
-  CASE(IConstIAdd) {
-    FUSE_ICONST();
-    int64_t A = POP().Int;
-    PUSH(Slot::ofInt(wrap32(A + IP->A)));
-    NEXT2();
-  }
-  CASE(IConstISub) {
-    FUSE_ICONST();
-    int64_t A = POP().Int;
-    PUSH(Slot::ofInt(wrap32(A - IP->A)));
-    NEXT2();
-  }
-  CASE(IConstIMul) {
-    FUSE_ICONST();
-    int64_t A = POP().Int;
-    PUSH(Slot::ofInt(wrap32(A * IP->A)));
-    NEXT2();
-  }
-  CASE(IConstIDiv) {
-    FUSE_ICONST();
-    int64_t A = POP().Int;
-    if (IP->A == 0)
-      TRAP(DivisionByZero);
-    PUSH(Slot::ofInt(wrap32(A / IP->A)));
-    NEXT2();
-  }
-  CASE(IConstIRem) {
-    FUSE_ICONST();
-    int64_t A = POP().Int;
-    if (IP->A == 0)
-      TRAP(DivisionByZero);
-    PUSH(Slot::ofInt(wrap32(A % IP->A)));
-    NEXT2();
-  }
-  CASE(IConstIfICmpEq) {
-    FUSE_ICONST();
-    int64_t A = POP().Int;
-    FUSED_BRANCH(A == IP->A);
-  }
-  CASE(IConstIfICmpNe) {
-    FUSE_ICONST();
-    int64_t A = POP().Int;
-    FUSED_BRANCH(A != IP->A);
-  }
-  CASE(IConstIfICmpLt) {
-    FUSE_ICONST();
-    int64_t A = POP().Int;
-    FUSED_BRANCH(A < IP->A);
-  }
-  CASE(IConstIfICmpGe) {
-    FUSE_ICONST();
-    int64_t A = POP().Int;
-    FUSED_BRANCH(A >= IP->A);
-  }
-  CASE(IConstIfICmpGt) {
-    FUSE_ICONST();
-    int64_t A = POP().Int;
-    FUSED_BRANCH(A > IP->A);
-  }
-  CASE(IConstIfICmpLe) {
-    FUSE_ICONST();
-    int64_t A = POP().Int;
-    FUSED_BRANCH(A <= IP->A);
-  }
-  CASE(IConstAALoad) {
-    FUSE_ICONST();
-    int64_t Idx = IP->A;
-    ObjRef Arr = POP().Ref;
-    if (Arr == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Arr];
-    if (O.Kind != ObjectKind::RefArray)
-      TRAP(BadFieldAccess);
-    if (Idx < 0 || Idx >= O.arrayLength())
-      TRAP(OutOfBounds);
-    PUSH(Slot::ofRef(loadRefAcquire(O.refs() + Idx)));
-    NEXT2();
-  }
-  CASE(IConstIALoad) {
-    FUSE_ICONST();
-    int64_t Idx = IP->A;
-    ObjRef Arr = POP().Ref;
-    if (Arr == NullRef)
-      TRAP(NullPointer);
-    HeapObject &O = *Tbl[Arr];
-    if (O.Kind != ObjectKind::IntArray)
-      TRAP(BadFieldAccess);
-    if (Idx < 0 || Idx >= O.arrayLength())
-      TRAP(OutOfBounds);
-    PUSH(Slot::ofInt(loadIntRelaxed(O.ints() + Idx)));
-    NEXT2();
-  }
-  CASE(IIncGoto) {
-    FUSE_IINC();
-    Slot &L = Base[IP->A];
-    L = Slot::ofInt(wrap32(L.Int + IP->B));
-    IP += 1 + IP[1].A;
-    DISPATCH();
-  }
-  CASE(LoadLoad) {
-    FUSE_LOAD();
-    PUSH(Base[IP->A]);
-    PUSH(Base[IP[1].A]);
-    NEXT2();
-  }
-  CASE(LoadIConst) {
-    FUSE_LOAD();
-    PUSH(Base[IP->A]);
-    PUSH(Slot::ofInt(IP[1].A));
-    NEXT2();
-  }
-  CASE(StoreLoad) {
-    FUSE_SECOND_HALF_OR(Base[IP->A] = POP());
-    // Store first, then load: the halves may name the same local.
-    Base[IP->A] = POP();
-    PUSH(Base[IP[1].A]);
-    NEXT2();
-  }
-  CASE(StoreStore) {
-    FUSE_SECOND_HALF_OR(Base[IP->A] = POP());
-    Base[IP->A] = POP();
-    Base[IP[1].A] = POP();
-    NEXT2();
-  }
-  CASE(IConstIConst) {
-    FUSE_ICONST();
-    PUSH(Slot::ofInt(IP->A));
-    PUSH(Slot::ofInt(IP[1].A));
-    NEXT2();
-  }
-  CASE(PopIConst) {
-    FUSE_SECOND_HALF_OR(--SP);
-    SP[-1] = Slot::ofInt(IP[1].A);
-    NEXT2();
-  }
-  CASE(IRemStore) {
-    if (Fuel == 0) { // unfused first half: full IRem, suspend on Store
-      int64_t B = POP().Int, A = POP().Int;
-      if (B == 0)
-        TRAP(DivisionByZero);
-      PUSH(Slot::ofInt(wrap32(A % B)));
-      NEXT();
-    }
-    --Fuel;
-    int64_t B = POP().Int, A = POP().Int;
-    if (B == 0)
-      TRAP(DivisionByZero);
-    Base[IP[1].A] = Slot::ofInt(wrap32(A % B));
-    NEXT2();
-  }
-  CASE(IMulPop) {
-    if (Fuel == 0) { // unfused first half: full IMul, suspend on Pop
-      int64_t B = POP().Int, A = POP().Int;
-      PUSH(Slot::ofInt(wrap32(A * B)));
-      NEXT();
-    }
-    --Fuel;
-    SP -= 2; // product immediately discarded: net two pops
-    NEXT2();
-  }
-  CASE(IAddIConst) {
-    if (Fuel == 0) { // unfused first half: full IAdd, suspend on IConst
-      int64_t B = POP().Int, A = POP().Int;
-      PUSH(Slot::ofInt(wrap32(A + B)));
-      NEXT();
-    }
-    --Fuel;
-    int64_t B = POP().Int, A = POP().Int;
-    PUSH(Slot::ofInt(wrap32(A + B)));
-    PUSH(Slot::ofInt(IP[1].A));
-    NEXT2();
-  }
-  CASE(IMulIConst) {
-    if (Fuel == 0) { // unfused first half: full IMul, suspend on IConst
-      int64_t B = POP().Int, A = POP().Int;
-      PUSH(Slot::ofInt(wrap32(A * B)));
-      NEXT();
-    }
-    --Fuel;
-    int64_t B = POP().Int, A = POP().Int;
-    PUSH(Slot::ofInt(wrap32(A * B)));
-    PUSH(Slot::ofInt(IP[1].A));
-    NEXT2();
-  }
+  // Every fused handler, generated from SATB_FAST_FUSED_OPS.
+  SATB_FAST_FUSED_OPS(FUSED_CASE)
 
 ExitLoop:
   if (!Frames.empty()) {

@@ -132,100 +132,94 @@ enum class StoreKind : uint8_t {
   SATB_PLANS_BULK(S, ArrayCopy)
 
 /// Fused superinstructions (translation-time peephole, DESIGN.md
-/// "Superinstructions"). A fused op replaces the *opcode of the first
-/// instruction* of a hot adjacent pair; the second slot keeps its
-/// original instruction verbatim. The fused handler reads the second
-/// half's operands from IP[1], charges both halves' fuel, and — when the
-/// quantum expires mid-pair — executes only the first half and suspends
-/// on the untouched second slot. Stream length, branch displacements,
-/// trap points, and BarrierStats site numbering are therefore identical
-/// to the unfused translation; only Op fields differ.
+/// "Superinstructions"), as R(Kind, First, Second) rows: the op
+/// First##Second replaces the *opcode of the first instruction* of an
+/// adjacent (First, Second) pair; the second slot keeps its original
+/// instruction verbatim. Stream length, branch displacements, trap points
+/// and BarrierStats site numbering are therefore identical to the unfused
+/// translation; only Op fields differ. The rows generate the FastOp
+/// names, fusedOp() and every fused handler. A handler charges both
+/// halves' fuel; when the quantum expires mid-pair it runs only the
+/// first half's handler and suspends on the untouched second slot.
 ///
-/// Naming: <first><second>, e.g. LoadGetFieldRef fuses a local load with
-/// the field read it feeds. The pair set is profile-driven: see
-/// tools/dispatch_profile.cpp for the dynamic pair counts that justify
-/// it, and fusedOp() in FastTranslate.cpp for the selection table. No
-/// reference store fuses, so each (kind, plan) has one handler
-/// (EXPERIMENTS.md "Removed mechanisms").
-#define SATB_FAST_FUSED_OPS(X)                                                 \
-  X(LoadGetFieldRef)                                                           \
-  X(LoadGetFieldInt)                                                           \
-  X(LoadPutFieldInt)                                                           \
-  X(LoadAALoad)                                                                \
-  X(LoadIALoad)                                                                \
-  X(LoadIAStore)                                                               \
-  X(LoadStore)                                                                 \
-  X(LoadIAdd)                                                                  \
-  X(LoadISub)                                                                  \
-  X(LoadIMul)                                                                  \
-  X(LoadIfEq)                                                                  \
-  X(LoadIfNe)                                                                  \
-  X(LoadIfLt)                                                                  \
-  X(LoadIfGe)                                                                  \
-  X(LoadIfGt)                                                                  \
-  X(LoadIfLe)                                                                  \
-  X(LoadIfICmpEq)                                                              \
-  X(LoadIfICmpNe)                                                              \
-  X(LoadIfICmpLt)                                                              \
-  X(LoadIfICmpGe)                                                              \
-  X(LoadIfICmpGt)                                                              \
-  X(LoadIfICmpLe)                                                              \
-  X(LoadIfNull)                                                                \
-  X(LoadIfNonNull)                                                             \
-  X(IConstIAdd)                                                                \
-  X(IConstISub)                                                                \
-  X(IConstIMul)                                                                \
-  X(IConstIDiv)                                                                \
-  X(IConstIRem)                                                                \
-  X(IConstIfICmpEq)                                                            \
-  X(IConstIfICmpNe)                                                            \
-  X(IConstIfICmpLt)                                                            \
-  X(IConstIfICmpGe)                                                            \
-  X(IConstIfICmpGt)                                                            \
-  X(IConstIfICmpLe)                                                            \
-  X(IConstAALoad)                                                              \
-  X(IConstIALoad)                                                              \
-  X(IIncGoto)                                                                  \
-  X(LoadLoad)                                                                  \
-  X(LoadIConst)                                                                \
-  X(StoreLoad)                                                                 \
-  X(StoreStore)                                                                \
-  X(IConstIConst)                                                              \
-  X(PopIConst)                                                                 \
-  X(IRemStore)                                                                 \
-  X(IMulPop)                                                                   \
-  X(IAddIConst)                                                                \
-  X(IMulIConst)
+/// Kind is the handler's shape. Pipe: the second half consumes the value
+/// the first half (Load or IConst) would push, so the value never touches
+/// the operand stack. Seq: the handler runs the first half's body, then
+/// the second half's, with one dispatch.
+///
+/// A pair is a row iff the benchmark programs execute it
+/// (tests/fusion_test.cpp pins every row's count above zero;
+/// tools/dispatch_profile prints them). No reference store fuses, so
+/// each (kind, plan) has one handler (EXPERIMENTS.md "Removed
+/// mechanisms").
+#define SATB_FAST_FUSED_OPS(R)                                                 \
+  R(Pipe, Load, GetFieldRef)                                                   \
+  R(Pipe, Load, GetFieldInt)                                                   \
+  R(Pipe, Load, PutFieldInt)                                                   \
+  R(Pipe, Load, AALoad)                                                        \
+  R(Pipe, Load, Store)                                                         \
+  R(Pipe, Load, IfNe)                                                          \
+  R(Pipe, Load, IfLe)                                                          \
+  R(Pipe, Load, IfICmpGe)                                                      \
+  R(Pipe, Load, IfNull)                                                        \
+  R(Pipe, Load, IfNonNull)                                                     \
+  R(Pipe, IConst, IAdd)                                                        \
+  R(Pipe, IConst, ISub)                                                        \
+  R(Pipe, IConst, IMul)                                                        \
+  R(Pipe, IConst, IRem)                                                        \
+  R(Pipe, IConst, IfICmpNe)                                                    \
+  R(Pipe, IConst, IfICmpGe)                                                    \
+  R(Seq, IInc, Goto)                                                           \
+  R(Seq, Load, Load)                                                           \
+  R(Seq, Load, IConst)                                                         \
+  R(Seq, Store, Load)                                                          \
+  R(Seq, Store, Store)                                                         \
+  R(Seq, IConst, IConst)                                                       \
+  R(Seq, Pop, IConst)                                                          \
+  R(Seq, IRem, Store)                                                          \
+  R(Seq, IMul, Pop)                                                            \
+  R(Seq, IAdd, IConst)                                                         \
+  R(Seq, IMul, IConst)
 
 /// The full dispatch set: base ops first, fused ops appended (isFusedOp
 /// relies on the ordering).
-#define SATB_FAST_OPS(X, S)                                                    \
+#define SATB_FAST_OPS(X, S, R)                                                 \
   SATB_FAST_BASE_OPS(X, S)                                                     \
-  SATB_FAST_FUSED_OPS(X)
+  SATB_FAST_FUSED_OPS(R)
 
 /// Every store kind x plan row alone, in enum order.
 #define SATB_FAST_IGNORE_OP(name)
-#define SATB_FAST_STORE_OPS(S) SATB_FAST_OPS(SATB_FAST_IGNORE_OP, S)
+#define SATB_FAST_IGNORE_ROW(Kind, First, Second)
+#define SATB_FAST_STORE_OPS(S)                                                 \
+  SATB_FAST_OPS(SATB_FAST_IGNORE_OP, S, SATB_FAST_IGNORE_ROW)
 
 enum class FastOp : uint16_t {
 #define X(name) name,
 #define S(K, Name, M, R, Rr) K##_##Name,
-  SATB_FAST_OPS(X, S)
+#define R(Kind, First, Second) First##Second,
+  SATB_FAST_OPS(X, S, R)
+#undef R
 #undef S
 #undef X
 };
 
-constexpr unsigned kNumFastOps = 0
+constexpr unsigned kNumBaseFastOps = 0
 #define X(name) +1
 #define S(...) +1
-    SATB_FAST_OPS(X, S)
+    SATB_FAST_BASE_OPS(X, S)
 #undef S
 #undef X
     ;
 
+constexpr unsigned kNumFastOps = kNumBaseFastOps
+#define R(...) +1
+    SATB_FAST_FUSED_OPS(R)
+#undef R
+    ;
+
 /// True for superinstructions (the ops SATB_FAST_FUSED_OPS adds).
 inline bool isFusedOp(FastOp Op) {
-  return Op >= FastOp::LoadGetFieldRef;
+  return static_cast<unsigned>(Op) >= kNumBaseFastOps;
 }
 
 /// The row a store opcode was generated from.
@@ -253,8 +247,8 @@ FastOp opFor(StoreKind K, BarrierPlan P);
 /// Opcode name for profile dumps and diagnostics.
 const char *fastOpName(FastOp Op);
 
-/// The fusion selection table: the superinstruction for an adjacent
-/// (First, Second) pair, or std::nullopt if the pair is not fused.
+/// The superinstruction of the SATB_FAST_FUSED_OPS row for an adjacent
+/// (First, Second) pair, or std::nullopt if no row names the pair.
 std::optional<FastOp> fusedOp(FastOp First, FastOp Second);
 
 /// One pre-decoded instruction, 16 bytes. Operand meanings:

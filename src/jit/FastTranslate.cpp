@@ -16,7 +16,11 @@ const char *satb::fastOpName(FastOp Op) {
 #define S(K, Name, M, R, Rr)                                                   \
   case FastOp::K##_##Name:                                                     \
     return #K "_" #Name;
-    SATB_FAST_OPS(X, S)
+#define R(Kind, First, Second)                                                 \
+  case FastOp::First##Second:                                                  \
+    return #First #Second;
+    SATB_FAST_OPS(X, S, R)
+#undef R
 #undef S
 #undef X
   }
@@ -55,115 +59,15 @@ FastOp satb::opFor(StoreKind K, BarrierPlan P) {
 }
 
 std::optional<FastOp> satb::fusedOp(FastOp First, FastOp Second) {
-  // Offset helpers for the op families whose members are contiguous in
-  // the enum (the X-macro fixes the layout; the static_asserts pin it).
-  auto Off = [](FastOp Op, FastOp Base) {
-    return static_cast<uint16_t>(Op) - static_cast<uint16_t>(Base);
+  constexpr auto Pair = [](FastOp F, FastOp S) {
+    return static_cast<uint32_t>(F) << 16 | static_cast<uint16_t>(S);
   };
-  auto At = [](FastOp Base, uint16_t Delta) {
-    return static_cast<FastOp>(static_cast<uint16_t>(Base) + Delta);
-  };
-  static_assert(static_cast<uint16_t>(FastOp::IfLe) -
-                        static_cast<uint16_t>(FastOp::IfEq) == 5 &&
-                    static_cast<uint16_t>(FastOp::IfICmpLe) -
-                        static_cast<uint16_t>(FastOp::IfICmpEq) == 5 &&
-                    static_cast<uint16_t>(FastOp::LoadIfLe) -
-                        static_cast<uint16_t>(FastOp::LoadIfEq) == 5 &&
-                    static_cast<uint16_t>(FastOp::LoadIfICmpLe) -
-                        static_cast<uint16_t>(FastOp::LoadIfICmpEq) == 5 &&
-                    static_cast<uint16_t>(FastOp::IConstIfICmpLe) -
-                        static_cast<uint16_t>(FastOp::IConstIfICmpEq) == 5,
-                "comparison families must stay contiguous");
-
-  switch (First) {
-  case FastOp::Load:
-    switch (Second) {
-    case FastOp::GetFieldRef:
-      return FastOp::LoadGetFieldRef;
-    case FastOp::GetFieldInt:
-      return FastOp::LoadGetFieldInt;
-    case FastOp::PutFieldInt:
-      return FastOp::LoadPutFieldInt;
-    case FastOp::AALoad:
-      return FastOp::LoadAALoad;
-    case FastOp::IALoad:
-      return FastOp::LoadIALoad;
-    case FastOp::IAStore:
-      return FastOp::LoadIAStore;
-    case FastOp::Store:
-      return FastOp::LoadStore;
-    case FastOp::Load:
-      return FastOp::LoadLoad;
-    case FastOp::IConst:
-      return FastOp::LoadIConst;
-    case FastOp::IAdd:
-      return FastOp::LoadIAdd;
-    case FastOp::ISub:
-      return FastOp::LoadISub;
-    case FastOp::IMul:
-      return FastOp::LoadIMul;
-    case FastOp::IfNull:
-      return FastOp::LoadIfNull;
-    case FastOp::IfNonNull:
-      return FastOp::LoadIfNonNull;
-    default:
-      if (Second >= FastOp::IfEq && Second <= FastOp::IfLe)
-        return At(FastOp::LoadIfEq, Off(Second, FastOp::IfEq));
-      if (Second >= FastOp::IfICmpEq && Second <= FastOp::IfICmpLe)
-        return At(FastOp::LoadIfICmpEq, Off(Second, FastOp::IfICmpEq));
-      return std::nullopt;
-    }
-  case FastOp::IConst:
-    switch (Second) {
-    case FastOp::IConst:
-      return FastOp::IConstIConst;
-    case FastOp::IAdd:
-      return FastOp::IConstIAdd;
-    case FastOp::ISub:
-      return FastOp::IConstISub;
-    case FastOp::IMul:
-      return FastOp::IConstIMul;
-    case FastOp::IDiv:
-      return FastOp::IConstIDiv;
-    case FastOp::IRem:
-      return FastOp::IConstIRem;
-    case FastOp::AALoad:
-      return FastOp::IConstAALoad;
-    case FastOp::IALoad:
-      return FastOp::IConstIALoad;
-    default:
-      if (Second >= FastOp::IfICmpEq && Second <= FastOp::IfICmpLe)
-        return At(FastOp::IConstIfICmpEq, Off(Second, FastOp::IfICmpEq));
-      return std::nullopt;
-    }
-  case FastOp::IInc:
-    if (Second == FastOp::Goto)
-      return FastOp::IIncGoto;
-    return std::nullopt;
-  case FastOp::Store:
-    if (Second == FastOp::Load)
-      return FastOp::StoreLoad;
-    if (Second == FastOp::Store)
-      return FastOp::StoreStore;
-    return std::nullopt;
-  case FastOp::Pop:
-    if (Second == FastOp::IConst)
-      return FastOp::PopIConst;
-    return std::nullopt;
-  case FastOp::IRem:
-    if (Second == FastOp::Store)
-      return FastOp::IRemStore;
-    return std::nullopt;
-  case FastOp::IMul:
-    if (Second == FastOp::Pop)
-      return FastOp::IMulPop;
-    if (Second == FastOp::IConst)
-      return FastOp::IMulIConst;
-    return std::nullopt;
-  case FastOp::IAdd:
-    if (Second == FastOp::IConst)
-      return FastOp::IAddIConst;
-    return std::nullopt;
+  switch (Pair(First, Second)) {
+#define R(Kind, F, S)                                                          \
+  case Pair(FastOp::F, FastOp::S):                                             \
+    return FastOp::F##S;
+    SATB_FAST_FUSED_OPS(R)
+#undef R
   default:
     return std::nullopt;
   }

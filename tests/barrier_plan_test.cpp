@@ -227,5 +227,5 @@ TEST(BarrierPlan, EveryStoreOpcodeIsSelectedAndRoundTrips) {
     EXPECT_EQ(findStoreOp(SI->Kind, SI->Plan), Op) << fastOpName(Op);
   }
   EXPECT_EQ(StoreOps, 44u);
-  EXPECT_EQ(kNumFastOps, 144u);
+  EXPECT_EQ(kNumFastOps, 123u);
 }

@@ -16,7 +16,9 @@
 ///   - TranslateOptions::Fuse really is the on/off oracle knob;
 ///   - randomized differential: fused and unfused translations of
 ///     seeded random programs are observably bit-identical, including
-///     when chopped into quanta that suspend mid-superinstruction.
+///     when chopped into quanta that suspend mid-superinstruction;
+///   - every SATB_FAST_FUSED_OPS row matches its two halves, trap by
+///     trap, and runs on the benchmark programs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +27,8 @@
 
 #include "interp/FastInterp.h"
 #include "workloads/Workload.h"
+
+#include <set>
 
 using namespace satb;
 using namespace satb::testutil;
@@ -349,6 +353,401 @@ TEST(Fusion, RandomProgramsFusedMatchesUnfused) {
                       "-step quanta");
     }
   }
+}
+
+// --- Every row against its halves -------------------------------------------
+
+/// How a row program feeds its pair: the plain case, a taken branch, or
+/// one of the second half's traps.
+enum class Variant { Plain, Taken, Null, WrongClass, OutOfBounds, Zero };
+
+const char *variantName(Variant V) {
+  switch (V) {
+  case Variant::Plain:
+    return "plain";
+  case Variant::Taken:
+    return "taken";
+  case Variant::Null:
+    return "null";
+  case Variant::WrongClass:
+    return "wrong class";
+  case Variant::OutOfBounds:
+    return "out of bounds";
+  case Variant::Zero:
+    return "zero divisor";
+  }
+  return "?";
+}
+
+/// The state every row program starts from: Obj is a Box (val 5) whose
+/// next is a second Box (val 8); Arr is a 3-element ref array holding Obj
+/// at index 1; IArr is an int array and Oth an Other object. R, X and Y
+/// are scratch locals. pair() places the next instruction, the pair's
+/// first half, behind a goto, which no row takes as its first half.
+struct RowEnv {
+  Program P;
+  ClassId Box = P.addClass("Box");
+  ClassId Other = P.addClass("Other");
+  FieldId Next = P.addField(Box, "next", JType::Ref);
+  FieldId Val = P.addField(Box, "val", JType::Int);
+  MethodBuilder B{P, "main", {}, JType::Int};
+  Local Obj = B.newLocal(JType::Ref), Arr = B.newLocal(JType::Ref);
+  Local IArr = B.newLocal(JType::Ref), Oth = B.newLocal(JType::Ref);
+  Local R = B.newLocal(JType::Ref);
+  Local X = B.newLocal(JType::Int), Y = B.newLocal(JType::Int);
+  Label T = B.newLabel();
+  uint32_t PairAt = 0;
+
+  RowEnv() {
+    B.newInstance(Box).astore(Obj);
+    B.aload(Obj).iconst(5).putfield(Val);
+    B.aload(Obj).newInstance(Box).putfield(Next);
+    B.aload(Obj).getfield(Next).iconst(8).putfield(Val);
+    B.iconst(3).newRefArray().astore(Arr);
+    B.aload(Arr).iconst(1).aload(Obj).aastore();
+    B.iconst(3).newIntArray().astore(IArr);
+    B.newInstance(Other).astore(Oth);
+  }
+  void pair() {
+    Label L = B.newLabel();
+    B.jump(L).bind(L);
+    PairAt = B.nextIndex();
+  }
+  /// Pushes the object a field access reads: Obj, null or an Other.
+  MethodBuilder &object(Variant V) {
+    if (V == Variant::Null)
+      return B.aconstNull();
+    return B.aload(V == Variant::WrongClass ? Oth : Obj);
+  }
+  /// Pushes the array an element access reads: Arr, null or IArr.
+  MethodBuilder &array(Variant V) {
+    if (V == Variant::Null)
+      return B.aconstNull();
+    return B.aload(V == Variant::WrongClass ? IArr : Arr);
+  }
+  /// The two exits after a conditional branch to T: 1 falls through, 2
+  /// was taken.
+  void branchTail() {
+    B.iconst(1).ireturn();
+    B.bind(T).iconst(2).ireturn();
+  }
+};
+
+/// One SATB_FAST_FUSED_OPS row: the program that runs its pair, and the
+/// variants to run it in.
+struct RowCase {
+  FastOp Op;
+  std::vector<Variant> Variants;
+  void (*Build)(RowEnv &, Variant);
+};
+
+const std::vector<RowCase> &rowCases() {
+  using V = Variant;
+  const std::vector<V> Field = {V::Plain, V::Null, V::WrongClass};
+  const std::vector<V> Branch = {V::Plain, V::Taken};
+  static const std::vector<RowCase> Cases = {
+      {FastOp::LoadGetFieldRef, Field,
+       [](RowEnv &E, V Var) {
+         E.object(Var).astore(E.R);
+         E.pair();
+         E.B.aload(E.R).getfield(E.Next).getfield(E.Val).ireturn();
+       }},
+      {FastOp::LoadGetFieldInt, Field,
+       [](RowEnv &E, V Var) {
+         E.object(Var).astore(E.R);
+         E.pair();
+         E.B.aload(E.R).getfield(E.Val).ireturn();
+       }},
+      {FastOp::LoadPutFieldInt, Field,
+       [](RowEnv &E, V Var) {
+         E.B.iconst(42).istore(E.X);
+         E.object(Var);
+         E.pair();
+         E.B.iload(E.X).putfield(E.Val);
+         E.B.aload(E.Obj).getfield(E.Val).ireturn();
+       }},
+      {FastOp::LoadAALoad, {V::Plain, V::Null, V::WrongClass, V::OutOfBounds},
+       [](RowEnv &E, V Var) {
+         E.B.iconst(Var == V::OutOfBounds ? 3 : 1).istore(E.X);
+         E.array(Var);
+         E.pair();
+         E.B.iload(E.X).aaload().getfield(E.Val).ireturn();
+       }},
+      {FastOp::LoadStore, {V::Plain},
+       [](RowEnv &E, V) {
+         E.B.iconst(6).istore(E.X);
+         E.pair();
+         E.B.iload(E.X).istore(E.Y);
+         E.B.iload(E.Y).ireturn();
+       }},
+      {FastOp::LoadIfNe, Branch,
+       [](RowEnv &E, V Var) {
+         E.B.iconst(Var == V::Taken ? 3 : 0).istore(E.X);
+         E.pair();
+         E.B.iload(E.X).ifne(E.T);
+         E.branchTail();
+       }},
+      {FastOp::LoadIfLe, Branch,
+       [](RowEnv &E, V Var) {
+         E.B.iconst(Var == V::Taken ? 0 : 3).istore(E.X);
+         E.pair();
+         E.B.iload(E.X).ifle(E.T);
+         E.branchTail();
+       }},
+      {FastOp::LoadIfICmpGe, Branch,
+       [](RowEnv &E, V Var) {
+         E.B.iconst(Var == V::Taken ? 3 : 9).istore(E.X);
+         E.B.iconst(5);
+         E.pair();
+         E.B.iload(E.X).ifICmpGe(E.T);
+         E.branchTail();
+       }},
+      {FastOp::LoadIfNull, Branch,
+       [](RowEnv &E, V Var) {
+         E.object(Var == V::Taken ? V::Null : V::Plain).astore(E.R);
+         E.pair();
+         E.B.aload(E.R).ifnull(E.T);
+         E.branchTail();
+       }},
+      {FastOp::LoadIfNonNull, Branch,
+       [](RowEnv &E, V Var) {
+         E.object(Var == V::Taken ? V::Plain : V::Null).astore(E.R);
+         E.pair();
+         E.B.aload(E.R).ifnonnull(E.T);
+         E.branchTail();
+       }},
+      {FastOp::IConstIAdd, {V::Plain},
+       [](RowEnv &E, V) {
+         E.B.iconst(9);
+         E.pair();
+         E.B.iconst(4).iadd().ireturn();
+       }},
+      {FastOp::IConstISub, {V::Plain},
+       [](RowEnv &E, V) {
+         E.B.iconst(9);
+         E.pair();
+         E.B.iconst(4).isub().ireturn();
+       }},
+      {FastOp::IConstIMul, {V::Plain},
+       [](RowEnv &E, V) {
+         E.B.iconst(9);
+         E.pair();
+         E.B.iconst(-4).imul().ireturn();
+       }},
+      {FastOp::IConstIRem, {V::Plain, V::Zero},
+       [](RowEnv &E, V Var) {
+         E.B.iconst(-9);
+         E.pair();
+         E.B.iconst(Var == V::Zero ? 0 : 4).irem().ireturn();
+       }},
+      {FastOp::IConstIfICmpNe, Branch,
+       [](RowEnv &E, V Var) {
+         E.B.iconst(9);
+         E.pair();
+         E.B.iconst(Var == V::Taken ? 4 : 9).ifICmpNe(E.T);
+         E.branchTail();
+       }},
+      {FastOp::IConstIfICmpGe, Branch,
+       [](RowEnv &E, V Var) {
+         E.B.iconst(9);
+         E.pair();
+         E.B.iconst(Var == V::Taken ? 4 : 12).ifICmpGe(E.T);
+         E.branchTail();
+       }},
+      {FastOp::IIncGoto, {V::Plain},
+       [](RowEnv &E, V) {
+         Label M = E.B.newLabel();
+         E.B.iconst(1).istore(E.X);
+         E.pair();
+         E.B.iinc(E.X, 2).jump(M);
+         E.B.iconst(0).ireturn();
+         E.B.bind(M).iload(E.X).ireturn();
+       }},
+      {FastOp::LoadLoad, {V::Plain},
+       [](RowEnv &E, V) {
+         E.B.iconst(7).istore(E.X);
+         E.B.iconst(3).istore(E.Y);
+         E.pair();
+         E.B.iload(E.X).iload(E.Y).isub().ireturn();
+       }},
+      {FastOp::LoadIConst, {V::Plain},
+       [](RowEnv &E, V) {
+         E.B.iconst(7).istore(E.X);
+         E.pair();
+         E.B.iload(E.X).iconst(3).isub().ireturn();
+       }},
+      {FastOp::StoreLoad, {V::Plain},
+       [](RowEnv &E, V) {
+         E.B.iconst(7);
+         E.pair();
+         E.B.istore(E.X).iload(E.X).ireturn();
+       }},
+      {FastOp::StoreStore, {V::Plain},
+       [](RowEnv &E, V) {
+         E.B.iconst(7).iconst(3);
+         E.pair();
+         E.B.istore(E.X).istore(E.Y);
+         E.B.iload(E.X).iload(E.Y).isub().ireturn();
+       }},
+      {FastOp::IConstIConst, {V::Plain},
+       [](RowEnv &E, V) {
+         E.pair();
+         E.B.iconst(7).iconst(3).isub().ireturn();
+       }},
+      {FastOp::PopIConst, {V::Plain},
+       [](RowEnv &E, V) {
+         E.B.iconst(7);
+         E.pair();
+         E.B.pop().iconst(3).ireturn();
+       }},
+      {FastOp::IRemStore, {V::Plain, V::Zero},
+       [](RowEnv &E, V Var) {
+         E.B.iconst(17).iconst(Var == V::Zero ? 0 : 5);
+         E.pair();
+         E.B.irem().istore(E.X);
+         E.B.iload(E.X).ireturn();
+       }},
+      {FastOp::IMulPop, {V::Plain},
+       [](RowEnv &E, V) {
+         E.B.iconst(9).iconst(3).iconst(4);
+         E.pair();
+         E.B.imul().pop().ireturn();
+       }},
+      {FastOp::IAddIConst, {V::Plain},
+       [](RowEnv &E, V) {
+         E.B.iconst(3).iconst(4);
+         E.pair();
+         E.B.iadd().iconst(2).isub().ireturn();
+       }},
+      {FastOp::IMulIConst, {V::Plain},
+       [](RowEnv &E, V) {
+         E.B.iconst(3).iconst(4);
+         E.pair();
+         E.B.imul().iconst(2).isub().ireturn();
+       }},
+  };
+  return Cases;
+}
+
+/// A run's observables plus the steps and roots at every suspension.
+struct RowRun {
+  Observed End;
+  std::vector<std::pair<uint64_t, std::vector<ObjRef>>> Stops;
+};
+
+RowRun runRow(const Program &P, const CompiledProgram &CP,
+              const FastProgram &FP, MethodId Entry, uint64_t Quantum) {
+  Heap H(P);
+  FastInterp I(FP, CP, H);
+  RowRun Run;
+  if (Quantum == 0) {
+    I.run(Entry, {});
+  } else {
+    I.start(Entry, {});
+    while (I.status() == RunStatus::Running) {
+      I.step(Quantum);
+      Run.Stops.emplace_back(I.stepsExecuted(), I.collectRoots());
+    }
+  }
+  Run.Stops.emplace_back(I.stepsExecuted(), I.collectRoots());
+  Run.End = observe(I, H);
+  return Run;
+}
+
+TEST(Fusion, EveryRowMatchesItsHalves) {
+  std::set<FastOp> Covered;
+  for (const RowCase &C : rowCases()) {
+    Covered.insert(C.Op);
+    for (Variant Var : C.Variants) {
+      RowEnv E;
+      C.Build(E, Var);
+      MethodId Entry = E.B.finish();
+      CompilerOptions Opts;
+      Opts.Interp = InterpMode::Fast;
+      CompiledProgram CP = compileProgram(E.P, Opts);
+      TranslateOptions On, Off;
+      Off.Fuse = false;
+      FastProgram FP = translateProgram(E.P, CP, On);
+      FastProgram UF = translateProgram(E.P, CP, Off);
+      std::string What = std::string(fastOpName(C.Op)) + " (" +
+                         variantName(Var) + ")";
+      const std::vector<FastInst> &Code = FP.Methods[Entry].Code;
+      ASSERT_LT(E.PairAt + 1, Code.size()) << What;
+      ASSERT_EQ(static_cast<FastOp>(Code[E.PairAt].Op), C.Op) << What;
+      ASSERT_EQ(fusedOp(static_cast<FastOp>(UF.Methods[Entry].Code[E.PairAt].Op),
+                        static_cast<FastOp>(Code[E.PairAt + 1].Op)),
+                C.Op)
+          << What;
+      for (uint64_t Quantum : {0, 1, 2}) {
+        std::string At = What + ", quantum " + std::to_string(Quantum);
+        RowRun U = runRow(E.P, CP, UF, Entry, Quantum);
+        RowRun F = runRow(E.P, CP, FP, Entry, Quantum);
+        expectEqual(U.End, F.End, At);
+        EXPECT_EQ(U.Stops, F.Stops) << At;
+        bool Traps = Var != Variant::Plain && Var != Variant::Taken;
+        EXPECT_EQ(F.End.Status,
+                  Traps ? RunStatus::Trapped : RunStatus::Finished)
+            << At;
+      }
+    }
+  }
+  EXPECT_EQ(Covered.size(), kNumFastOps - kNumBaseFastOps)
+      << "a SATB_FAST_FUSED_OPS row has no case here";
+
+  // fusedOp is the rows and nothing else.
+  std::set<std::pair<FastOp, FastOp>> Rows;
+#define R(Kind, F, S)                                                          \
+  Rows.insert({FastOp::F, FastOp::S});                                         \
+  EXPECT_EQ(fusedOp(FastOp::F, FastOp::S), FastOp::F##S);
+  SATB_FAST_FUSED_OPS(R)
+#undef R
+  for (unsigned F = 0; F != kNumFastOps; ++F) {
+    for (unsigned S = 0; S != kNumFastOps; ++S) {
+      FastOp First = static_cast<FastOp>(F), Second = static_cast<FastOp>(S);
+      if (!Rows.count({First, Second})) {
+        EXPECT_EQ(fusedOp(First, Second), std::nullopt)
+            << fastOpName(First) << "+" << fastOpName(Second);
+      }
+    }
+  }
+}
+
+TEST(Fusion, EveryRowRunsOnTheBenchmarkPrograms) {
+  // The row rule: a pair is a row iff the benchmark programs execute it.
+  // Profile them unfused, the server as server_gen compiles it.
+  struct Run {
+    Workload W;
+    BarrierMode Barrier;
+    bool InsertSafepoints;
+  };
+  std::vector<Run> Suite;
+  for (Workload &W : allWorkloads())
+    Suite.push_back({std::move(W), BarrierMode::Satb, false});
+  Suite.push_back({makeServerLike(), BarrierMode::Generational, true});
+  std::vector<uint64_t> Pairs(static_cast<size_t>(kNumFastOps) * kNumFastOps);
+  for (const auto &[W, Barrier, InsertSafepoints] : Suite) {
+    CompilerOptions Opts;
+    Opts.Interp = InterpMode::Fast;
+    Opts.Barrier = Barrier;
+    CompiledProgram CP = compileProgram(*W.P, Opts);
+    TranslateOptions TO;
+    TO.Fuse = false;
+    TO.InsertSafepoints = InsertSafepoints;
+    FastProgram FP = translateProgram(*W.P, CP, TO);
+    Heap H(*W.P);
+    FastInterp I(FP, CP, H);
+    I.enablePairProfile();
+    ASSERT_EQ(I.run(W.Entry, {200}), RunStatus::Finished) << W.Name;
+    for (size_t K = 0; K != Pairs.size(); ++K)
+      Pairs[K] += I.pairProfile()[K];
+  }
+#define R(Kind, F, S)                                                          \
+  EXPECT_GT(Pairs[static_cast<size_t>(FastOp::F) * kNumFastOps +               \
+                  static_cast<size_t>(FastOp::S)],                             \
+            0u)                                                                \
+      << #F "+" #S " is a row that no benchmark program runs";
+  SATB_FAST_FUSED_OPS(R)
+#undef R
 }
 
 } // namespace

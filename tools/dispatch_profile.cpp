@@ -2,15 +2,17 @@
 ///
 /// \file
 /// The data behind the superinstruction set (DESIGN.md
-/// "Superinstructions"): runs every Table 1 workload on the *unfused*
-/// fast engine with pair profiling enabled (FastInterp::
-/// enablePairProfile, a separate dispatch-loop instantiation — the
-/// production loop carries no profiling cost) and dumps the dynamic
-/// opcode-pair frequencies, aggregated across the suite and sorted by
-/// count. Each row is marked [fused] when fusedOp() selects the pair,
-/// so the dump doubles as an audit: the chosen set should cover the top
-/// of this list, and any hot unfused pair is a candidate for the next
-/// revision.
+/// "Superinstructions"): runs every Table 1 workload, and the server
+/// workload as perfbench's server_gen compiles it (BarrierMode::
+/// Generational, safepoint polls inserted), on the *unfused* fast engine
+/// with pair profiling enabled (FastInterp::enablePairProfile, a separate
+/// dispatch-loop instantiation — the production loop carries no profiling
+/// cost) and dumps the dynamic opcode-pair frequencies, aggregated across
+/// the suite and sorted by count. Each pair is marked [fused] when
+/// fusedOp() selects it, so the dump doubles as an audit: the chosen set
+/// should cover the top of this list, and any hot unfused pair is a
+/// candidate for the next revision. Last, each SATB_FAST_FUSED_OPS row is
+/// listed with its own count, so a row that never runs shows as 0.
 ///
 /// Usage: dispatch_profile [scale] [--threshold=PCT]
 ///
@@ -28,7 +30,7 @@
 /// summary line keeps that exclusion auditable.
 ///
 /// Regenerate the pair profile DESIGN.md quotes with
-/// `dispatch_profile 500 --threshold=0.05`.
+/// `dispatch_profile 20000`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,16 +100,26 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  CompilerOptions Opts;
+  struct Run {
+    Workload W;
+    BarrierMode Barrier = BarrierMode::Satb;
+    bool InsertSafepoints = false;
+  };
+  std::vector<Run> Suite;
+  for (Workload &W : allWorkloads())
+    Suite.push_back({std::move(W)});
+  Suite.push_back({makeBulkRider()});
+  Suite.push_back({makeServerLike(), BarrierMode::Generational, true});
   std::vector<uint64_t> Total(static_cast<size_t>(kNumFastOps) * kNumFastOps,
                               0);
   uint64_t Steps = 0;
-  std::vector<Workload> Suite = allWorkloads();
-  Suite.push_back(makeBulkRider());
-  for (const Workload &W : Suite) {
+  for (const auto &[W, Barrier, InsertSafepoints] : Suite) {
+    CompilerOptions Opts;
+    Opts.Barrier = Barrier;
     CompiledProgram CP = compileProgram(*W.P, Opts);
     TranslateOptions TO;
     TO.Fuse = false; // profile the base stream: pairs are fusion *input*
+    TO.InsertSafepoints = InsertSafepoints;
     FastProgram FP = translateProgram(*W.P, CP, TO);
     Heap H(*W.P);
     FastInterp I(FP, CP, H);
@@ -142,7 +154,8 @@ int main(int Argc, char **Argv) {
   std::sort(Rows.begin(), Rows.end(),
             [](const Row &A, const Row &B) { return A.Count > B.Count; });
 
-  std::printf("# dynamic opcode-pair profile, Table 1 suite, scale %lld\n",
+  std::printf("# dynamic opcode-pair profile, Table 1 suite and server, "
+              "scale %lld\n",
               static_cast<long long>(Scale));
   std::printf("# steps %llu, adjacent pairs %llu, distinct pairs %zu\n",
               static_cast<unsigned long long>(Steps),
@@ -200,5 +213,21 @@ int main(int Argc, char **Argv) {
               "dispatch covers the whole range)\n",
               static_cast<unsigned long long>(BulkExecs),
               PairTotal ? 100.0 * BulkPairs / PairTotal : 0.0);
+  std::printf("# superinstruction rows: dynamic count of each fused pair\n");
+  size_t Idle = 0;
+#define R(Kind, F, S)                                                          \
+  {                                                                            \
+    uint64_t C = Total[static_cast<size_t>(FastOp::F) * kNumFastOps +         \
+                       static_cast<size_t>(FastOp::S)];                        \
+    Idle += C == 0;                                                            \
+    std::printf("%-12llu %6.2f%%  %s+%s%s\n",                                  \
+                static_cast<unsigned long long>(C),                            \
+                PairTotal ? 100.0 * C / PairTotal : 0.0, #F, #S,               \
+                C == 0 ? "  [never runs]" : "");                               \
+  }
+  SATB_FAST_FUSED_OPS(R)
+#undef R
+  std::printf("# %zu of %u rows never run\n", Idle,
+              kNumFastOps - kNumBaseFastOps);
   return 0;
 }
